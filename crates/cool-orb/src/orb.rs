@@ -460,7 +460,10 @@ impl Stub {
     ///
     /// The requested QoS is immediately propagated to the transport layer
     /// (unilateral negotiation, Section 4.3); the bilateral negotiation
-    /// with the server happens on the next invocation.
+    /// with the server happens on the next invocation. On a Da CaPo
+    /// binding a spec that maps to a different module graph rebuilds the
+    /// stacks on both ends; the teardown waits on no clock, so
+    /// QoS-per-method costs about as much as a few invocations.
     ///
     /// # Errors
     ///

@@ -28,6 +28,11 @@
 //!    their previous graphs;
 //! 3. on success the initiator admits and rebuilds its own side.
 //!
+//! A swap costs one stack teardown and one rebuild per side. Teardown
+//! wakes every stack thread, the transport's RX pump included, through the
+//! stack's wake channel, so a swap is paid in thread start-up and join,
+//! not in a receive timeout.
+//!
 //! The ORB calls `set_qos` only between invocations (no application frames
 //! in flight), so the swap is lossless. Compared to the seed, which routed
 //! this handshake through channels served inside a polled `recv_frame`,
@@ -103,8 +108,9 @@ impl Inner {
 
 /// Blocks in the Da CaPo endpoint's receive wait, feeding the inbox.
 /// Holding the `Arc<Inner>` keeps the connection alive until the channel
-/// closes, at which point the endpoint wait is unblocked by the stack
-/// teardown (bounded by the runtime's `shutdown_grace`).
+/// closes, at which point the stack teardown unblocks the endpoint wait
+/// with a close sentinel; it wakes every stack thread, the transport's RX
+/// pump included, without waiting on a clock.
 fn pump_loop(inner: &Inner) {
     /// Upper bound on one reconfiguration wait; the epoch condvar wakes
     /// the pump the instant a new endpoint is installed, this only guards

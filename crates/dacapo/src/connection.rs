@@ -395,6 +395,38 @@ mod tests {
     }
 
     #[test]
+    fn reconfigure_does_not_wait_for_the_wire() {
+        // Stack teardown wakes the RX pump through the wake channel, so a
+        // swap on an idle wire costs thread start-up and join, not a
+        // receive timeout per stack.
+        let graphs = [
+            ModuleGraph::from_ids(["crc32"]),
+            ModuleGraph::from_ids(["crc16"]),
+        ];
+        let (a, b) = pair(&graphs[0]);
+        let start = Instant::now();
+        for i in 0..40 {
+            // a and b take turns, each moving to the graph it is not running.
+            let side = if i % 2 == 0 { &a } else { &b };
+            let graph = &graphs[(i / 2 + 1) % 2];
+            side.reconfigure(graph.clone()).unwrap();
+            assert_eq!(&side.graph(), graph);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "40 reconfigurations took {elapsed:?}"
+        );
+        a.endpoint().send(Bytes::from_static(b"after")).unwrap();
+        assert_eq!(
+            &b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            b"after"
+        );
+        a.close();
+        b.close();
+    }
+
+    #[test]
     fn reconfigure_to_invalid_graph_keeps_old_stack() {
         let (a, b) = pair(&ModuleGraph::empty());
         assert!(a.reconfigure(ModuleGraph::from_ids(["bogus"])).is_err());

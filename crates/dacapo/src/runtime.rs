@@ -41,12 +41,6 @@ pub struct RuntimeOptions {
     /// timer (it drives ARQ retransmission), *not* a data-path poll: packet
     /// arrival wakes a module immediately via its queue select.
     pub tick_interval: Duration,
-    /// Upper bound on how long the transport receive pump may take to
-    /// notice shutdown. The pump blocks in `Transport::recv_timeout` — the
-    /// only wait the runtime cannot wire a wakeup into — so stack teardown
-    /// may lag by up to this long. Frame arrival is unaffected: the
-    /// underlying transports wake their receiver the moment data lands.
-    pub shutdown_grace: Duration,
     /// When set, every module thread reports per-direction frame/byte
     /// throughput (`dacapo_module_frames_total{module,dir}`,
     /// `dacapo_module_bytes_total{module,dir}`) and its input-queue depth
@@ -61,7 +55,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             channel_capacity: 128,
             tick_interval: Duration::from_millis(20),
-            shutdown_grace: Duration::from_millis(25),
             telemetry: None,
         }
     }
@@ -434,14 +427,13 @@ pub fn build_stack(
     }
 
     // Transport RX pump feeds up_tx[n] (bottom of the up chain). It blocks
-    // in the transport's own receive wait (condvar/socket backed — arrival
-    // wakes it immediately); `shutdown_grace` only bounds how long teardown
-    // can lag, since a transport read cannot join the wake select.
+    // in `Transport::recv`, which also ends when the wake channel
+    // disconnects — like the TX pump, shutdown never waits on a clock.
     {
         let transport = transport.clone();
         let flag = shutdown.clone();
         let up_bottom = up_tx[n].clone();
-        let grace = opts.shutdown_grace;
+        let wake = wake_rx.clone();
         let dead = transport_dead.clone();
         let app_up = up_tx[0].clone();
         let rx_quiesce = quiesce.clone();
@@ -458,8 +450,8 @@ pub fn build_stack(
                 if flag.load(Ordering::Acquire) {
                     return;
                 }
-                match transport.recv_timeout(grace) {
-                    Ok(frame) => {
+                match transport.recv(&wake) {
+                    Ok(Some(frame)) => {
                         if let Some((frames, bytes)) = &wire {
                             frames.inc();
                             bytes.add(frame.len() as u64);
@@ -469,7 +461,8 @@ pub fn build_stack(
                             return;
                         }
                     }
-                    Err(DacapoError::Timeout(_)) => continue,
+                    // Woken: shutdown was signalled.
+                    Ok(None) => return,
                     Err(_) => {
                         // Permanent transport failure (peer severed, I/O
                         // error): tell the application instead of dying
@@ -850,9 +843,9 @@ mod tests {
             &b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
             b"last words"
         );
-        // Sever the wire: b's RX pump observes Closed within
-        // shutdown_grace and must surface it to the application instead of
-        // dying silently and leaving receives to idle out their timeout.
+        // Sever the wire: b's RX pump observes Closed as soon as it has
+        // drained the wire, and must surface it to the application instead
+        // of dying silently and leaving receives to idle out their timeout.
         ta.close();
         let start = Instant::now();
         let r = b.endpoint().recv_timeout(Duration::from_secs(10));

@@ -14,7 +14,7 @@
 
 use crate::error::DacapoError;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -25,7 +25,7 @@ use std::time::Duration;
 /// A frame-oriented point-to-point transport.
 ///
 /// Implementations must be thread-safe: the runtime calls `send` from the
-/// TX pump thread and `recv_timeout` from the RX pump thread concurrently.
+/// TX pump thread and `recv` from the RX pump thread concurrently.
 pub trait Transport: Send + Sync + 'static {
     /// Sends one frame to the peer.
     ///
@@ -35,15 +35,34 @@ pub trait Transport: Send + Sync + 'static {
     /// [`DacapoError::Transport`] for I/O failures.
     fn send(&self, frame: Bytes) -> Result<(), DacapoError>;
 
-    /// Receives the next frame, waiting at most `timeout`.
+    /// Receives the next frame, waiting until one arrives, the transport
+    /// closes, or `wake` disconnects.
+    ///
+    /// `wake` is the stack's shutdown channel: nothing is ever sent on it,
+    /// and dropping its sender ends the wait with `Ok(None)`. That is how
+    /// stack teardown stops the RX pump without a clock.
     ///
     /// # Errors
     ///
-    /// [`DacapoError::Timeout`] on expiry, [`DacapoError::Closed`] once the
-    /// transport is closed and drained.
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError>;
+    /// [`DacapoError::Closed`] once the transport is closed and drained;
+    /// [`DacapoError::Transport`] for I/O failures.
+    fn recv(&self, wake: &Receiver<()>) -> Result<Option<Bytes>, DacapoError>;
 
-    /// Closes the transport; unblocks pending receives on both sides.
+    /// Closes this side. Which blocked [`Transport::recv`] calls that
+    /// unblocks depends on the transport:
+    ///
+    /// * loopback drops the senders of both directions: sends fail on both
+    ///   halves, and a `recv` blocked on either half returns
+    ///   [`DacapoError::Closed`] once it has drained what was queued for it;
+    /// * TCP shuts the socket down both ways: the reader threads on both
+    ///   sides see EOF and disconnect their queues, so a `recv` on either
+    ///   side returns `Closed` once drained; this side's sends fail at once;
+    /// * netsim marks only this side closed: its sends fail at once and its
+    ///   `recv` returns `Closed` within one 10 ms wake slice. The peer
+    ///   sees the link disconnect only when this endpoint is dropped.
+    ///
+    /// A `recv` that `close` does not reach still ends when its wake
+    /// channel disconnects.
     fn close(&self);
 
     /// Largest frame this transport can carry.
@@ -60,8 +79,8 @@ impl Transport for Box<dyn Transport> {
         (**self).send(frame)
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        (**self).recv_timeout(timeout)
+    fn recv(&self, wake: &Receiver<()>) -> Result<Option<Bytes>, DacapoError> {
+        (**self).recv(wake)
     }
 
     fn close(&self) {
@@ -77,67 +96,77 @@ impl Transport for Box<dyn Transport> {
     }
 }
 
+/// Waits on a frame queue and the stack's wake channel together: the next
+/// frame, `None` once `wake` disconnects, or [`DacapoError::Closed`] once
+/// `frames` is disconnected and drained.
+fn select_frame(
+    frames: &Receiver<Bytes>,
+    wake: &Receiver<()>,
+) -> Result<Option<Bytes>, DacapoError> {
+    let mut sel = Select::new();
+    let frame_idx = sel.recv(frames);
+    sel.recv(wake);
+    let op = sel.select();
+    if op.index() == frame_idx {
+        op.recv(frames).map(Some).map_err(|_| DacapoError::Closed)
+    } else {
+        let _ = op.recv(wake);
+        Ok(None)
+    }
+}
+
+/// One direction of a loopback wire. Both halves hold both directions, so
+/// closing either half drops both senders.
+type LoopbackWire = Arc<Mutex<Option<Sender<Bytes>>>>;
+
 /// In-process transport half backed by crossbeam channels.
 #[derive(Debug)]
 pub struct LoopbackTransport {
-    tx: Sender<Bytes>,
+    /// Outbound wire; `None` once either half closed.
+    tx: LoopbackWire,
+    /// The peer's outbound wire, which feeds `rx`.
+    peer_tx: LoopbackWire,
     rx: Receiver<Bytes>,
-    closed: Arc<AtomicBool>,
-    peer_closed: Arc<AtomicBool>,
 }
 
 /// Creates a connected pair of loopback transports.
 pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
     // lint: allow(L003, loopback models an infinitely fast wire; a bound here would deadlock symmetric send/send peers)
-    // lint: allow(A005, §7.4: loopback wire, drained by peer recv_frame and paced by the sending protocol stack)
+    // lint: allow(A005, §7.4: loopback wire, drained by peer recv and paced by the sending protocol stack)
     let (a_tx, b_rx) = unbounded();
     // lint: allow(L003, loopback models an infinitely fast wire; a bound here would deadlock symmetric send/send peers)
-    // lint: allow(A005, §7.4: loopback wire, drained by peer recv_frame and paced by the sending protocol stack)
+    // lint: allow(A005, §7.4: loopback wire, drained by peer recv and paced by the sending protocol stack)
     let (b_tx, a_rx) = unbounded();
-    let a_closed = Arc::new(AtomicBool::new(false));
-    let b_closed = Arc::new(AtomicBool::new(false));
+    let a_wire: LoopbackWire = Arc::new(Mutex::new(Some(a_tx)));
+    let b_wire: LoopbackWire = Arc::new(Mutex::new(Some(b_tx)));
     let a = LoopbackTransport {
-        tx: a_tx,
+        tx: a_wire.clone(),
+        peer_tx: b_wire.clone(),
         rx: a_rx,
-        closed: a_closed.clone(),
-        peer_closed: b_closed.clone(),
     };
     let b = LoopbackTransport {
-        tx: b_tx,
+        tx: b_wire,
+        peer_tx: a_wire,
         rx: b_rx,
-        closed: b_closed,
-        peer_closed: a_closed,
     };
     (a, b)
 }
 
 impl Transport for LoopbackTransport {
     fn send(&self, frame: Bytes) -> Result<(), DacapoError> {
-        if self.closed.load(Ordering::Acquire) || self.peer_closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
+        match &*self.tx.lock() {
+            Some(tx) => tx.send(frame).map_err(|_| DacapoError::Closed),
+            None => Err(DacapoError::Closed),
         }
-        self.tx.send(frame).map_err(|_| DacapoError::Closed)
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.peer_closed.load(Ordering::Acquire) {
-                    Err(DacapoError::Closed)
-                } else {
-                    Err(DacapoError::Timeout(timeout))
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(DacapoError::Closed),
-        }
+    fn recv(&self, wake: &Receiver<()>) -> Result<Option<Bytes>, DacapoError> {
+        select_frame(&self.rx, wake)
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.tx.lock().take();
+        self.peer_tx.lock().take();
     }
 
     fn name(&self) -> &str {
@@ -268,15 +297,11 @@ impl Transport for TcpTransport {
             .map_err(|e| DacapoError::Transport(format!("tcp send: {e}")))
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
+    fn recv(&self, wake: &Receiver<()>) -> Result<Option<Bytes>, DacapoError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(DacapoError::Closed);
         }
-        match self.frames.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => Err(DacapoError::Timeout(timeout)),
-            Err(RecvTimeoutError::Disconnected) => Err(DacapoError::Closed),
-        }
+        select_frame(&self.frames, wake)
     }
 
     fn close(&self) {
@@ -294,6 +319,12 @@ impl Drop for TcpTransport {
         self.close();
     }
 }
+
+/// How long a netsim receive waits before it checks the stack's wake
+/// channel again. The link's wait is a condvar that cannot join a channel
+/// `Select`, so this slice bounds how late a netsim stack's teardown can
+/// be; frame arrival still wakes the receiver at once.
+const NETSIM_WAKE_SLICE: Duration = Duration::from_millis(10);
 
 /// Transport over a simulated `netsim` link endpoint.
 #[derive(Debug)]
@@ -326,15 +357,20 @@ impl Transport for NetsimTransport {
         }
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DacapoError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(DacapoError::Closed);
-        }
-        match self.endpoint.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(netsim::NetSimError::Timeout(d)) => Err(DacapoError::Timeout(d)),
-            Err(netsim::NetSimError::Disconnected) => Err(DacapoError::Closed),
-            Err(e) => Err(DacapoError::Transport(e.to_string())),
+    fn recv(&self, wake: &Receiver<()>) -> Result<Option<Bytes>, DacapoError> {
+        loop {
+            if self.closed.load(Ordering::Acquire) {
+                return Err(DacapoError::Closed);
+            }
+            if !matches!(wake.try_recv(), Err(TryRecvError::Empty)) {
+                return Ok(None);
+            }
+            match self.endpoint.recv_timeout(NETSIM_WAKE_SLICE) {
+                Ok(frame) => return Ok(Some(frame)),
+                Err(netsim::NetSimError::Timeout(_)) => {}
+                Err(netsim::NetSimError::Disconnected) => return Err(DacapoError::Closed),
+                Err(e) => return Err(DacapoError::Transport(e.to_string())),
+            }
         }
     }
 
@@ -355,40 +391,75 @@ impl Transport for NetsimTransport {
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
+
+    /// A wake channel that stays connected while the returned sender
+    /// lives, so a `recv` on it ends only on a frame or a close.
+    fn wake() -> (Sender<()>, Receiver<()>) {
+        bounded(1)
+    }
+
+    fn recv_frame(t: &impl Transport) -> Result<Option<Bytes>, DacapoError> {
+        let (_keep, wake) = wake();
+        t.recv(&wake)
+    }
 
     #[test]
     fn loopback_round_trip() {
         let (a, b) = loopback_pair();
         a.send(Bytes::from_static(b"ping")).unwrap();
-        assert_eq!(
-            &b.recv_timeout(Duration::from_secs(1)).unwrap()[..],
-            b"ping"
-        );
+        assert_eq!(&recv_frame(&b).unwrap().unwrap()[..], b"ping");
         b.send(Bytes::from_static(b"pong")).unwrap();
-        assert_eq!(
-            &a.recv_timeout(Duration::from_secs(1)).unwrap()[..],
-            b"pong"
-        );
+        assert_eq!(&recv_frame(&a).unwrap().unwrap()[..], b"pong");
     }
 
     #[test]
     fn loopback_close_propagates() {
         let (a, b) = loopback_pair();
+        a.send(Bytes::from_static(b"queued")).unwrap();
+        let b = Arc::new(b);
+        let reader = {
+            let b = b.clone();
+            std::thread::spawn(move || {
+                let first = recv_frame(&*b);
+                let blocked_at = Instant::now();
+                (first, recv_frame(&*b), blocked_at.elapsed())
+            })
+        };
+        // Let the reader drain the queued frame and block on the empty wire.
+        std::thread::sleep(Duration::from_millis(50));
         a.close();
+        let (first, second, waited) = reader.join().unwrap();
+        assert_eq!(&first.unwrap().unwrap()[..], b"queued");
+        assert!(matches!(second, Err(DacapoError::Closed)), "got {second:?}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "close took {waited:?} to wake the peer"
+        );
         assert!(matches!(a.send(Bytes::new()), Err(DacapoError::Closed)));
-        assert!(matches!(
-            b.recv_timeout(Duration::from_millis(10)),
-            Err(DacapoError::Closed)
-        ));
+        assert!(matches!(b.send(Bytes::new()), Err(DacapoError::Closed)));
+    }
+
+    /// Blocks `t` in a receive on another thread, then drops the wake
+    /// sender: the receive must end with `Ok(None)`.
+    fn assert_wake_ends_recv(t: impl Transport) {
+        let (keep, wake) = wake();
+        let reader = std::thread::spawn(move || t.recv(&wake));
+        std::thread::sleep(Duration::from_millis(20));
+        drop(keep);
+        let got = reader.join().unwrap();
+        assert!(matches!(got, Ok(None)), "got {got:?}");
     }
 
     #[test]
-    fn loopback_timeout() {
+    fn recv_returns_none_when_wake_disconnects() {
         let (_a, b) = loopback_pair();
-        assert!(matches!(
-            b.recv_timeout(Duration::from_millis(5)),
-            Err(DacapoError::Timeout(_))
-        ));
+        assert_wake_ends_recv(b);
+        let (_a, b) = tcp_pair();
+        assert_wake_ends_recv(b);
+        let link = netsim::Link::real_time(netsim::LinkSpec::default());
+        let (_ea, eb) = link.endpoints();
+        assert_wake_ends_recv(NetsimTransport::new(eb));
     }
 
     fn tcp_pair() -> (TcpTransport, TcpTransport) {
@@ -407,11 +478,8 @@ mod tests {
         let (a, b) = tcp_pair();
         a.send(Bytes::from_static(b"one")).unwrap();
         a.send(Bytes::from_static(b"twotwo")).unwrap();
-        assert_eq!(&b.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"one");
-        assert_eq!(
-            &b.recv_timeout(Duration::from_secs(5)).unwrap()[..],
-            b"twotwo"
-        );
+        assert_eq!(&recv_frame(&b).unwrap().unwrap()[..], b"one");
+        assert_eq!(&recv_frame(&b).unwrap().unwrap()[..], b"twotwo");
     }
 
     #[test]
@@ -419,7 +487,7 @@ mod tests {
         let (a, b) = tcp_pair();
         let big = vec![0xAB; 1 << 20];
         a.send(Bytes::from(big.clone())).unwrap();
-        let got = b.recv_timeout(Duration::from_secs(10)).unwrap();
+        let got = recv_frame(&b).unwrap().unwrap();
         assert_eq!(&got[..], &big[..]);
     }
 
@@ -427,14 +495,8 @@ mod tests {
     fn tcp_close_unblocks_peer() {
         let (a, b) = tcp_pair();
         a.close();
-        // Peer eventually observes EOF as Closed.
-        let mut result = b.recv_timeout(Duration::from_millis(200));
-        for _ in 0..10 {
-            if matches!(result, Err(DacapoError::Closed)) {
-                break;
-            }
-            result = b.recv_timeout(Duration::from_millis(200));
-        }
+        // The peer's reader thread sees EOF and disconnects its queue.
+        let result = recv_frame(&b);
         assert!(matches!(result, Err(DacapoError::Closed)), "got {result:?}");
     }
 
@@ -452,7 +514,7 @@ mod tests {
         ta.send(Bytes::from_static(b"over the simulated wire"))
             .unwrap();
         assert_eq!(
-            &tb.recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            &recv_frame(&tb).unwrap().unwrap()[..],
             b"over the simulated wire"
         );
         assert!(tb.mtu() > 0);
