@@ -268,6 +268,53 @@ mod tests {
         assert!(ids.iter().any(|i| *i == "crc16" || *i == "crc32"));
     }
 
+    /// The exact graphs behind the repository benchmark's QoS specs,
+    /// mapped as `Stub::set_qos_parameter` maps them (permissive
+    /// negotiation), so a speed-up there cannot come from a cheaper
+    /// protocol being picked.
+    #[test]
+    fn benchmark_specs_pin_their_graphs() {
+        use multe_qos::{QoSSpec, Reliability, ServerPolicy};
+        use std::time::Duration;
+
+        let mgr = ConfigurationManager::standard();
+        let ctx = ConfigContext {
+            goal: ConfigGoal::MaxThroughput,
+            ..Default::default()
+        };
+        let ids = |spec: QoSSpec| -> Vec<String> {
+            let granted = ServerPolicy::permissive().negotiate(&spec).unwrap();
+            let cfg = mgr
+                .configure(&TransportRequirements::from_granted(&granted), &ctx)
+                .unwrap();
+            cfg.graph
+                .mechanisms()
+                .iter()
+                .map(|m| m.as_str().to_string())
+                .collect()
+        };
+        // `qos-stream`.
+        let stream = QoSSpec::builder()
+            .throughput_bps(20_000_000, 1_000_000, i32::MAX)
+            .reliability(Reliability::Reliable)
+            .ordered(true)
+            .latency(
+                Duration::from_millis(50),
+                Duration::ZERO,
+                Duration::from_secs(1),
+            )
+            .build();
+        assert_eq!(ids(stream), ["go-back-n", "crc32"]);
+        // `qos-renegotiate` alternates these two.
+        let reliable = QoSSpec::builder()
+            .reliability(Reliability::Reliable)
+            .ordered(true)
+            .build();
+        assert_eq!(ids(reliable), ["go-back-n", "crc32"]);
+        let checked = QoSSpec::builder().reliability(Reliability::Checked).build();
+        assert_eq!(ids(checked), ["parity"]);
+    }
+
     #[test]
     fn cpu_goal_picks_irq() {
         let mgr = ConfigurationManager::standard();

@@ -1,31 +1,70 @@
 //! CRC16 and CRC32 error detection, implemented from scratch.
 //!
-//! * CRC16: CCITT polynomial `0x1021`, initial value `0xFFFF` (X.25
-//!   flavour without final XOR), bit-by-bit.
-//! * CRC32: IEEE 802.3 polynomial (reflected `0xEDB88320`), table-driven,
-//!   initial value and final XOR `0xFFFFFFFF` — the ubiquitous zlib CRC.
+//! * CRC16: CCITT polynomial `0x1021`, MSB-first, initial value `0xFFFF`
+//!   (X.25 flavour without final XOR).
+//! * CRC32: IEEE 802.3 polynomial (reflected `0xEDB88320`), initial value
+//!   and final XOR `0xFFFFFFFF` — the ubiquitous zlib CRC.
+//!
+//! Both kernels are table-driven and fold a word at a time ("slicing-by-N"):
+//! table `k` holds the CRC contribution of a byte followed by `k` zero
+//! bytes, so by linearity one step XORs the state into the leading bytes
+//! of a block and looks up every byte of the block independently —
+//! CRC32 consumes 16 bytes per step, CRC16 8 — with a bytewise tail. The
+//! tables are computed at compile time. The checksum is the same as the
+//! textbook bytewise/bitwise algorithm, bit for bit; only the speed
+//! differs.
 
 use crate::module::{Module, Outputs};
 use crate::packet::Packet;
 
-/// Computes the CCITT CRC16 of `data`.
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
+/// Bytes CRC16 folds per step.
+const CRC16_SLICES: usize = 8;
+/// Bytes CRC32 folds per step.
+const CRC32_SLICES: usize = 16;
+
+// The tables are `static` items built by `const fn`s: evaluated at compile
+// time like a `const`, but one copy in read-only memory rather than a
+// 16 KiB value materialised wherever a `const` would be named.
+
+/// `CRC16_TABLES[k][b]`: CRC16 (zero initial value) of byte `b` followed
+/// by `k` zero bytes.
+static CRC16_TABLES: [[u16; 256]; CRC16_SLICES] = crc16_tables();
+/// `CRC32_TABLES[k][b]`: reflected CRC32 register contribution of byte `b`
+/// followed by `k` zero bytes.
+static CRC32_TABLES: [[u32; 256]; CRC32_SLICES] = crc32_tables();
+
+const fn crc16_tables() -> [[u16; 256]; CRC16_SLICES] {
+    let mut t = [[0u16; 256]; CRC16_SLICES];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = (i as u16) << 8;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 0x8000 != 0 {
+                (c << 1) ^ 0x1021
             } else {
-                crc <<= 1;
-            }
+                c << 1
+            };
+            k += 1;
         }
+        t[0][i] = c;
+        i += 1;
     }
-    crc
+    let mut k = 1;
+    while k < CRC16_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev << 8) ^ t[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; CRC32_SLICES] {
+    let mut t = [[0u32; 256]; CRC32_SLICES];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -38,21 +77,74 @@ fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC32_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Computes the CCITT CRC16 of `data`.
+pub fn crc16(data: &[u8]) -> u16 {
+    let t = &CRC16_TABLES;
+    let mut crc: u16 = 0xFFFF;
+    let mut blocks = data.chunks_exact(CRC16_SLICES);
+    for b in &mut blocks {
+        // MSB-first: the register lines up with the block's first two
+        // bytes; byte `j` is followed by `7 - j` more in the block.
+        let [hi, lo] = crc.to_be_bytes();
+        crc = t[7][(b[0] ^ hi) as usize]
+            ^ t[6][(b[1] ^ lo) as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc << 8) ^ t[0][((crc >> 8) as u8 ^ byte) as usize];
+    }
+    crc
 }
 
 /// Computes the IEEE CRC32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    // The table is tiny; recomputing it per call would dominate small
-    // packets, so cache it once per process.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(crc32_table);
+    let t = &CRC32_TABLES;
     let mut c: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        c = table[((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(CRC32_SLICES);
+    for b in &mut blocks {
+        // Reflected: the register lines up with the block's first four
+        // bytes, least significant first.
+        let [c0, c1, c2, c3] = c.to_le_bytes();
+        c = t[15][(b[0] ^ c0) as usize]
+            ^ t[14][(b[1] ^ c1) as usize]
+            ^ t[13][(b[2] ^ c2) as usize]
+            ^ t[12][(b[3] ^ c3) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &byte in blocks.remainder() {
+        c = t[0][(c as u8 ^ byte) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -147,7 +239,12 @@ impl Module for CrcModule {
 }
 
 #[cfg(test)]
+#[path = "../../tests/support/crc_reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{crc16_bitwise, crc32_bytewise};
     use super::*;
 
     #[test]
@@ -161,6 +258,59 @@ mod tests {
     fn crc16_known_vector() {
         // CCITT-FALSE("123456789") = 0x29B1.
         assert_eq!(crc16(b"123456789"), 0x29B1);
+        assert_eq!(crc16(b""), 0xFFFF);
+    }
+
+    /// Deterministic non-repeating filler, so no block looks like another.
+    fn filler(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn kernels_match_reference_around_block_boundaries() {
+        // Empty, sub-block, exactly one CRC16 block (8) and one CRC32
+        // block (16) with their neighbours, a block plus one, and a large
+        // payload that is a whole number of blocks.
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 65, 65_536] {
+            let data = filler(len);
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "crc32, len {len}");
+            assert_eq!(crc16(&data), crc16_bitwise(&data), "crc16, len {len}");
+        }
+    }
+
+    #[test]
+    fn kernels_match_reference_at_every_offset() {
+        // Every start alignment and every tail length up to two blocks.
+        let data = filler(256);
+        for start in 0..CRC32_SLICES {
+            for len in 0..=2 * CRC32_SLICES + 1 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "crc32 [{start}; {len}]");
+                assert_eq!(crc16(s), crc16_bitwise(s), "crc16 [{start}; {len}]");
+            }
+        }
+    }
+
+    /// Frames `CrcModule::process_down` produced with the bytewise and
+    /// bitwise kernels; any change to the trailer bytes is a wire break.
+    #[test]
+    fn golden_wire_frames() {
+        let payload = b"Da CaPo configures layer C protocols in real time, 0123456789.";
+        for (kind, trailer) in [
+            (CrcKind::Crc16, &[0x21, 0xA3][..]),
+            (CrcKind::Crc32, &[0x30, 0x10, 0xFC, 0xB5][..]),
+        ] {
+            let mut out = Outputs::new();
+            CrcModule::new(kind).process_down(Packet::data(payload), &mut out);
+            let frame = out.take_down().remove(0);
+            assert_eq!(
+                frame.payload(),
+                [&payload[..], trailer].concat(),
+                "{kind:?}"
+            );
+        }
     }
 
     fn round_trip(kind: CrcKind, payload: &[u8]) -> Option<Vec<u8>> {

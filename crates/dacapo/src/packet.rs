@@ -9,7 +9,10 @@
 //! the way **up**. To make both operations O(header), a packet keeps spare
 //! *headroom* in front of the payload: [`Packet::push_header`] writes into
 //! the headroom, [`Packet::pop_header`] gives it back. Trailers work
-//! symmetrically at the tail.
+//! symmetrically at the tail: owned storage is allocated with
+//! [`DEFAULT_TAILROOM`] bytes of spare capacity, so
+//! [`Packet::push_trailer`] (a checksum or parity trailer) extends the
+//! buffer in place instead of reallocating and copying the payload.
 //!
 //! Storage comes in two flavours. Packets built from an application
 //! payload own a `Vec<u8>` with headroom, as before. Packets arriving from
@@ -19,13 +22,19 @@
 //! needs no copy at all. Only a mutating operation (header/trailer push,
 //! [`Packet::payload_mut`], [`Packet::set_payload`]) converts a shared
 //! packet to owned storage, copying once and recording the copy with
-//! [`cool_telemetry::allocs::record_buffer_alloc`].
+//! [`cool_telemetry::allocs::record_buffer_alloc`]. Cloning a packet with
+//! owned storage (an ARQ keeping a copy in its retransmission window) is
+//! such a copy too and is recorded the same way.
 
 use bytes::Bytes;
 use cool_telemetry::allocs::record_buffer_alloc;
 
 /// Default headroom reserved for module headers (bytes).
 pub const DEFAULT_HEADROOM: usize = 64;
+
+/// Spare capacity reserved behind the payload of owned storage for module
+/// trailers (bytes): room for a CRC32 and a parity byte with margin.
+pub const DEFAULT_TAILROOM: usize = 16;
 
 /// Whether a packet carries application data or module-to-module control
 /// information (acknowledgements, window updates, …).
@@ -39,14 +48,14 @@ pub enum PacketKind {
 
 /// Backing storage: a view over a shared wire frame (up-path, zero-copy)
 /// or an owned buffer with headroom (down-path, mutable).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Storage {
     Shared(Bytes),
     Owned(Vec<u8>),
 }
 
 /// A packet travelling through a module graph.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Packet {
     storage: Storage,
     start: usize,
@@ -74,11 +83,8 @@ impl Packet {
 
     /// Creates a packet with explicit headroom.
     pub fn with_headroom(payload: &[u8], headroom: usize, kind: PacketKind) -> Self {
-        record_buffer_alloc();
-        let mut storage = vec![0u8; headroom + payload.len()];
-        storage[headroom..].copy_from_slice(payload);
         Packet {
-            storage: Storage::Owned(storage),
+            storage: Storage::Owned(owned_buffer(headroom, payload)),
             start: headroom,
             end: headroom + payload.len(),
             kind,
@@ -179,11 +185,8 @@ impl Packet {
         };
         if header.len() > self.start {
             // Grow: reallocate with fresh headroom in front.
-            record_buffer_alloc();
             let needed = header.len() + DEFAULT_HEADROOM;
-            let mut grown = vec![0u8; needed + (self.end - self.start)];
-            grown[needed..].copy_from_slice(&storage[self.start..self.end]);
-            *storage = grown;
+            *storage = owned_buffer(needed, &storage[self.start..self.end]);
             self.end = storage.len();
             self.start = needed;
         }
@@ -209,7 +212,8 @@ impl Packet {
         Some(header)
     }
 
-    /// Appends `trailer` after the payload.
+    /// Appends `trailer` after the payload. Extends owned storage in place
+    /// while the trailer fits in its spare capacity ([`DEFAULT_TAILROOM`]).
     pub fn push_trailer(&mut self, trailer: &[u8]) {
         self.make_owned();
         let Storage::Owned(storage) = &mut self.storage else {
@@ -249,12 +253,8 @@ impl Packet {
             storage[self.start..self.start + payload.len()].copy_from_slice(payload);
             self.end = self.start + payload.len();
         } else {
-            record_buffer_alloc();
-            let headroom = self.start;
-            let mut grown = vec![0u8; headroom + payload.len()];
-            grown[headroom..].copy_from_slice(payload);
-            *storage = grown;
-            self.end = headroom + payload.len();
+            *storage = owned_buffer(self.start, payload);
+            self.end = storage.len();
         }
     }
 
@@ -263,15 +263,40 @@ impl Packet {
     /// the packet; no-op for packets already owned.
     fn make_owned(&mut self) {
         if let Storage::Shared(b) = &self.storage {
-            record_buffer_alloc();
-            let len = self.end - self.start;
-            let mut storage = vec![0u8; DEFAULT_HEADROOM + len];
-            storage[DEFAULT_HEADROOM..].copy_from_slice(&b[self.start..self.end]);
-            self.storage = Storage::Owned(storage);
+            let storage = owned_buffer(DEFAULT_HEADROOM, &b[self.start..self.end]);
+            self.end = storage.len();
             self.start = DEFAULT_HEADROOM;
-            self.end = DEFAULT_HEADROOM + len;
+            self.storage = Storage::Owned(storage);
         }
     }
+}
+
+impl Clone for Packet {
+    /// Shared storage clones by reference count. Owned storage is copied
+    /// into a fresh buffer with the same headroom plus tailroom, and the
+    /// copy is recorded like every other data-path buffer allocation.
+    fn clone(&self) -> Self {
+        let storage = match &self.storage {
+            Storage::Shared(b) => Storage::Shared(b.clone()),
+            Storage::Owned(v) => Storage::Owned(owned_buffer(self.start, &v[self.start..self.end])),
+        };
+        Packet {
+            storage,
+            start: self.start,
+            end: self.end,
+            kind: self.kind,
+        }
+    }
+}
+
+/// A fresh owned buffer: `headroom` zero bytes, then `body`, with
+/// [`DEFAULT_TAILROOM`] spare capacity behind it. Records the allocation.
+fn owned_buffer(headroom: usize, body: &[u8]) -> Vec<u8> {
+    record_buffer_alloc();
+    let mut storage = Vec::with_capacity(headroom + body.len() + DEFAULT_TAILROOM);
+    storage.resize(headroom, 0);
+    storage.extend_from_slice(body);
+    storage
 }
 
 #[cfg(test)]
@@ -307,6 +332,58 @@ mod tests {
         assert_eq!(p.pop_trailer(2).unwrap(), &b"T2"[..]);
         assert_eq!(p.pop_trailer(2).unwrap(), &b"T1"[..]);
         assert_eq!(p.payload(), b"body");
+    }
+
+    /// Bytes a trailer can take before owned storage has to reallocate.
+    fn tailroom(p: &Packet) -> usize {
+        match &p.storage {
+            Storage::Owned(v) => v.capacity() - p.end,
+            Storage::Shared(_) => 0,
+        }
+    }
+
+    #[test]
+    fn push_trailer_reuses_tailroom() {
+        // Owned from the start.
+        let mut p = Packet::data(&[7u8; 1000]);
+        assert!(tailroom(&p) >= DEFAULT_TAILROOM);
+        let before = p.payload().as_ptr();
+        p.push_trailer(&[1, 2, 3, 4]);
+        assert_eq!(p.payload().as_ptr(), before, "push_trailer reallocated");
+        assert_eq!(&p.payload()[1000..], &[1, 2, 3, 4]);
+
+        // Shared, made owned by a header push.
+        let mut p = Packet::from_shared(Bytes::from(vec![9u8; 1000]), PacketKind::Data);
+        p.push_header(b"HH");
+        assert!(tailroom(&p) >= DEFAULT_TAILROOM);
+        let before = p.payload().as_ptr();
+        p.push_trailer(&[1, 2, 3, 4]);
+        assert_eq!(p.payload().as_ptr(), before, "push_trailer reallocated");
+        assert_eq!(p.len(), 1006);
+    }
+
+    #[test]
+    fn clone_copies_owned_and_shares_shared() {
+        let mut p = Packet::data(b"body");
+        p.push_header(b"H");
+        let c = p.clone();
+        assert_eq!(c.payload(), b"Hbody");
+        assert_ne!(c.payload().as_ptr(), p.payload().as_ptr());
+        // The copy keeps its headroom and tailroom.
+        assert!(tailroom(&c) >= DEFAULT_TAILROOM);
+        let mut c = c;
+        c.push_header(b"G");
+        let before = c.payload().as_ptr();
+        c.push_trailer(b"TT");
+        assert_eq!(c.payload(), b"GHbodyTT");
+        assert_eq!(c.payload().as_ptr(), before);
+        assert_eq!(p.payload(), b"Hbody");
+
+        let frame = Bytes::from(b"shared".to_vec());
+        let s = Packet::from_shared(frame.clone(), PacketKind::Control);
+        let sc = s.clone();
+        assert_eq!(sc.payload().as_ptr(), frame.as_ref().as_ptr());
+        assert_eq!(sc.kind(), PacketKind::Control);
     }
 
     #[test]

@@ -15,6 +15,10 @@ use multe_qos::TransportRequirements;
 use proptest::prelude::*;
 use std::time::Duration;
 
+#[path = "support/crc_reference.rs"]
+mod crc_reference;
+use crc_reference::{crc16_bitwise, crc32_bytewise};
+
 fn arb_requirements() -> impl Strategy<Value = TransportRequirements> {
     (
         any::<bool>(),
@@ -96,6 +100,28 @@ proptest! {
         let bit = bit % (corrupted.len() * 8);
         corrupted[bit / 8] ^= 1 << (bit % 8);
         prop_assert_ne!(crc16(&corrupted), original);
+    }
+
+    /// The word-at-a-time kernels compute exactly the bytewise/bitwise
+    /// reference checksums.
+    #[test]
+    fn crc_kernels_match_reference(data in proptest::collection::vec(any::<u8>(), 0..=4096)) {
+        prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        prop_assert_eq!(crc16(&data), crc16_bitwise(&data));
+    }
+
+    /// ... also on arbitrary sub-slices, which start at any alignment and
+    /// leave any remainder after the last whole block.
+    #[test]
+    fn crc_kernels_match_reference_on_sub_slices(
+        data in proptest::collection::vec(any::<u8>(), 0..=4096),
+        a in any::<usize>(),
+        b in any::<usize>(),
+    ) {
+        let (a, b) = (a % (data.len() + 1), b % (data.len() + 1));
+        let s = &data[a.min(b)..a.max(b)];
+        prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        prop_assert_eq!(crc16(s), crc16_bitwise(s));
     }
 
     /// RLE encode/decode is the identity for arbitrary data.

@@ -7,6 +7,11 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 
+# The repository benchmark (perfbench/) is its own package outside the
+# workspace but calls the crates' public API: build it and run its own
+# tests so an API change cannot break the benchmark unseen.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 # Project-invariant static analysis: poll loops, unwraps, unbounded data
 # paths, GIOP version agreement, error-variant test coverage. Exits
 # non-zero on any finding; the JSON report lands next to this gate's
