@@ -30,8 +30,9 @@
 //!
 //! A swap costs one stack teardown and one rebuild per side. Teardown
 //! wakes every stack thread, the transport's RX pump included, through the
-//! stack's wake channel, so a swap is paid in thread start-up and join,
-//! not in a receive timeout.
+//! stack's wake channel, and the new stack runs on the old stack's
+//! threads, so a swap is paid in one job hand-off per thread, not in a
+//! receive timeout or a thread start-up and join.
 //!
 //! The ORB calls `set_qos` only between invocations (no application frames
 //! in flight), so the swap is lossless. Compared to the seed, which routed

@@ -8,7 +8,7 @@ use crate::error::DacapoError;
 use crate::graph::ModuleGraph;
 use crate::module::Module;
 use crate::resource::{ResourceGrant, ResourceManager};
-use crate::runtime::{build_stack, RuntimeOptions, StackHandle};
+use crate::runtime::{build_stack, RuntimeOptions, StackHandle, StackThreads};
 use crate::tlayer::Transport;
 use multe_qos::TransportRequirements;
 use cool_telemetry::lockorder::OrderedMutex;
@@ -126,7 +126,7 @@ impl Connection {
         graph.validate(catalog)?;
         let transport: Arc<dyn Transport> = Arc::new(transport);
         let modules = instantiate(&graph, &params, catalog)?;
-        let stack = build_stack(modules, transport.clone(), &opts)?;
+        let stack = build_stack(modules, transport.clone(), &opts, StackThreads::default())?;
         let endpoint = stack.endpoint().clone();
         Ok(Connection {
             stack: OrderedMutex::new(lock_rank::CONNECTION_STACK, "connection.stack", Some(stack)),
@@ -199,6 +199,10 @@ impl Connection {
     /// first; the ORB re-negotiates QoS before reconfiguring, so the
     /// request/reply protocol above tolerates the gap).
     ///
+    /// The new stack runs on the old stack's threads; a thread is spawned
+    /// only when the new graph has more modules than any graph this
+    /// connection ran before.
+    ///
     /// # Errors
     ///
     /// [`DacapoError::InvalidGraph`] if the new graph fails validation; the
@@ -211,11 +215,12 @@ impl Connection {
         let params = self.params.lock().clone();
         let modules = instantiate(&new_graph, &params, &self.catalog)?;
         let mut stack_slot = self.stack.lock();
-        if let Some(old) = stack_slot.take() {
-            old.shutdown();
-        }
-        // lint: allow(A002, stack lock is deliberately held across the rebuild (§7.2 rank 60); the spawn-failure cleanup joins only module pump threads, which never take connection locks)
-        let stack = build_stack(modules, self.transport.clone(), &self.opts)?;
+        let threads = match stack_slot.take() {
+            Some(old) => old.shutdown(),
+            None => StackThreads::default(),
+        };
+        // lint: allow(A002, stack lock is deliberately held across the rebuild (§7.2 rank 60); build_stack waits only on this stack's own threads, which never take connection locks)
+        let stack = build_stack(modules, self.transport.clone(), &self.opts, threads)?;
         *self.endpoint.lock() = stack.endpoint().clone();
         *stack_slot = Some(stack);
         *self.graph.lock() = new_graph;
@@ -240,13 +245,14 @@ impl Connection {
         self.closed.load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Tears the connection down: stops the stack and closes the
-    /// transport. Idempotent.
+    /// Tears the connection down: stops the stack, joins all of its
+    /// threads and closes the transport. Idempotent.
     pub fn close(&self) {
         self.closed
             .store(true, std::sync::atomic::Ordering::Release);
         if let Some(stack) = self.stack.lock().take() {
-            stack.shutdown();
+            // Dropping the returned threads joins them.
+            drop(stack.shutdown());
         }
         self.transport.close();
         self.grant.lock().take();
@@ -396,9 +402,10 @@ mod tests {
 
     #[test]
     fn reconfigure_does_not_wait_for_the_wire() {
-        // Stack teardown wakes the RX pump through the wake channel, so a
-        // swap on an idle wire costs thread start-up and join, not a
-        // receive timeout per stack.
+        // Stack teardown wakes the RX pump through the wake channel and the
+        // new stack reuses the old stack's threads, so a swap on an idle
+        // wire costs a job hand-off per thread, not a receive timeout or
+        // a thread start-up and join.
         let graphs = [
             ModuleGraph::from_ids(["crc32"]),
             ModuleGraph::from_ids(["crc16"]),

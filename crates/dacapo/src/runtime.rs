@@ -9,6 +9,16 @@
 //! control packets share the queues and are told apart by module-level
 //! header tags, which keeps the wire format self-describing.
 //!
+//! Threads outlive the stack they run. Each stack thread is a worker that
+//! runs one job at a time, a module loop or a transport pump, and parks on
+//! its job channel between jobs. [`StackHandle::shutdown`] stops the jobs,
+//! waits for each to return and hands the workers back as
+//! [`StackThreads`]; [`build_stack`] runs the next stack on them and
+//! spawns a thread only when the set runs out. A reconfiguration swap
+//! therefore costs one job hand-off per thread, not a thread start-up and
+//! join. A running stack still has exactly one thread per module plus the
+//! two transport pumps.
+//!
 //! Backpressure discipline: **down** channels are bounded — a module whose
 //! [`Module::ready_for_down`] returns `false` simply stops draining its
 //! down queue, which stalls everything above it up to the application
@@ -122,12 +132,84 @@ impl QuiesceSignal {
     }
 }
 
+/// Work for one stack thread: a module loop or a transport pump.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A reusable stack thread. It runs one [`Job`] at a time, reports each
+/// return on `done` and parks on `jobs` in between.
+#[derive(Debug)]
+struct Worker {
+    jobs: Sender<Job>,
+    done: Receiver<()>,
+    handle: JoinHandle<()>,
+}
+
+/// Spawns an idle worker.
+fn spawn_worker() -> std::io::Result<Worker> {
+    let (jobs, job_rx) = bounded::<Job>(1);
+    let (done_tx, done) = bounded::<()>(1);
+    let handle = std::thread::Builder::new()
+        .name("dacapo-stack".into())
+        .spawn(move || {
+            // Ends when the owning `StackThreads` drops the job sender. A
+            // job that panics unwinds past the `send` below, so `done`
+            // disconnects instead of reporting a return.
+            while let Ok(job) = job_rx.recv() {
+                job();
+                if done_tx.send(()).is_err() {
+                    return;
+                }
+            }
+        })?;
+    Ok(Worker { jobs, done, handle })
+}
+
+/// Waits for each busy worker's job to return and moves the worker into
+/// `into`. A worker whose job panicked has a disconnected done channel: it
+/// is joined, not reused.
+fn finish_jobs(busy: &mut Vec<Worker>, into: &mut StackThreads) {
+    for worker in busy.drain(..) {
+        match worker.done.recv() {
+            Ok(()) => into.workers.push(worker),
+            Err(_) => {
+                let _ = worker.handle.join();
+            }
+        }
+    }
+}
+
+/// The idle threads of a stopped stack, ready to run the next one.
+///
+/// [`StackHandle::shutdown`] returns them and [`build_stack`] takes them,
+/// so a reconfiguration runs the new stack on the old stack's threads.
+/// Callers with no threads to hand over pass `StackThreads::default()`.
+/// Dropping the set joins every thread in it.
+#[derive(Debug, Default)]
+pub struct StackThreads {
+    workers: Vec<Worker>,
+}
+
+impl Drop for StackThreads {
+    fn drop(&mut self) {
+        // Collecting the handles drops every job sender before the first
+        // join, so the workers exit together.
+        let handles: Vec<JoinHandle<()>> = self.workers.drain(..).map(|w| w.handle).collect();
+        for handle in handles {
+            let _ = handle.join();
+        }
+    }
+}
+
 /// A running module stack bound to a transport.
 #[derive(Debug)]
 pub struct StackHandle {
     app: AppEndpoint,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    /// One worker per module, top to bottom, then the TX and RX pumps.
+    workers: Vec<Worker>,
+    /// Threads handed to [`build_stack`] that this stack did not need;
+    /// they go back to the caller at shutdown.
+    spare: StackThreads,
     module_names: Vec<String>,
     /// Observers over every inter-module queue. These are *sender* clones
     /// used only for `is_empty()`: receiver clones would keep the channels
@@ -158,9 +240,9 @@ impl StackHandle {
         &self.module_names
     }
 
-    /// Number of worker threads (modules + 2 transport pumps).
+    /// Number of threads running this stack (modules + 2 transport pumps).
     pub fn thread_count(&self) -> usize {
-        self.threads.len()
+        self.workers.len()
     }
 
     /// Whether the transport underneath this stack died permanently (peer
@@ -201,26 +283,31 @@ impl StackHandle {
         }
     }
 
-    /// Stops all stack threads and joins them. The transport itself is
-    /// *not* closed — the caller may rebuild a new stack on it
-    /// (reconfiguration).
-    pub fn shutdown(mut self) {
+    /// Stops every module loop and pump, waits for each to return and
+    /// hands back all of the stack's threads, spares included, for the
+    /// next [`build_stack`]. The transport itself is *not* closed — the
+    /// caller may rebuild a new stack on it (reconfiguration).
+    pub fn shutdown(mut self) -> StackThreads {
+        self.stop_jobs();
+        std::mem::take(&mut self.spare)
+    }
+
+    /// Sets the stop flag, disconnects the wake channel (popping every
+    /// job out of its blocking select or transport receive) and waits for
+    /// the jobs to return.
+    fn stop_jobs(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        // Dropping the wake sender disconnects every thread's wake
-        // receiver, popping them out of blocking selects immediately.
         self.wake.take();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        finish_jobs(&mut self.workers, &mut self.spare);
     }
 }
 
 impl Drop for StackHandle {
     fn drop(&mut self) {
-        // Signal but do not join: destructors must not block. An explicit
-        // `shutdown()` joins cleanly.
-        self.shutdown.store(true, Ordering::Release);
-        self.wake.take();
+        // A handle dropped without `shutdown` reaps its threads here: the
+        // jobs end on the stop flag and wake disconnect, then dropping
+        // `spare` joins the workers.
+        self.stop_jobs();
     }
 }
 
@@ -248,31 +335,53 @@ fn signal_transport_death(
     quiesce.pulse();
 }
 
-/// Tears down a partially built stack after a spawn failure: signals
-/// shutdown, disconnects the wake channel and joins what already started.
-fn abort_partial_stack(
+/// Hands each job to a thread from `threads`, spawning one only when the
+/// set is empty. If a spawn fails, the jobs already started are stopped
+/// and their threads go back into `threads`.
+fn start_jobs(
+    jobs: Vec<Job>,
+    threads: &mut StackThreads,
     shutdown: &AtomicBool,
     wake_tx: &mut Option<Sender<()>>,
-    threads: &mut Vec<JoinHandle<()>>,
-) {
-    shutdown.store(true, Ordering::Release);
-    wake_tx.take();
-    for t in threads.drain(..) {
-        let _ = t.join();
+) -> Result<Vec<Worker>, DacapoError> {
+    let mut busy = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let worker = match threads.workers.pop() {
+            Some(worker) => worker,
+            None => match spawn_worker() {
+                Ok(worker) => worker,
+                Err(e) => {
+                    shutdown.store(true, Ordering::Release);
+                    wake_tx.take();
+                    finish_jobs(&mut busy, threads);
+                    return Err(DacapoError::Runtime(format!("spawn stack thread: {e}")));
+                }
+            },
+        };
+        // An idle worker exits only once its job sender is dropped, so this
+        // cannot fail; if it did, the disconnected done channel would count
+        // as a returned job at shutdown.
+        let _ = worker.jobs.send(job);
+        busy.push(worker);
     }
+    Ok(busy)
 }
 
 /// Builds and starts a stack: `modules` top-to-bottom between the
-/// application and `transport`.
+/// application and `transport`, run on `threads` (plus new threads if the
+/// set is too small). Threads the stack does not need stay with it as
+/// spares and come back from [`StackHandle::shutdown`].
 ///
 /// # Errors
 ///
-/// [`DacapoError::Runtime`] if an OS thread cannot be spawned; threads
-/// already started are torn down before returning.
+/// [`DacapoError::Runtime`] if an OS thread cannot be spawned; jobs
+/// already started are stopped and every thread is joined before
+/// returning.
 pub fn build_stack(
     modules: Vec<Box<dyn Module>>,
     transport: Arc<dyn Transport>,
     opts: &RuntimeOptions,
+    mut threads: StackThreads,
 ) -> Result<StackHandle, DacapoError> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let quiesce = Arc::new(QuiesceSignal::default());
@@ -286,7 +395,7 @@ pub fn build_stack(
     let (wake_tx, wake_rx) = unbounded::<()>();
     let mut wake_tx = Some(wake_tx);
     let module_names: Vec<String> = modules.iter().map(|m| m.name().to_owned()).collect();
-    let mut threads = Vec::new();
+    let mut jobs: Vec<Job> = Vec::with_capacity(modules.len() + 2);
     let mut queue_probes: Vec<Sender<Packet>> = Vec::new();
     let mut idle_flags: Vec<Arc<AtomicBool>> = Vec::new();
 
@@ -315,7 +424,7 @@ pub fn build_stack(
         up_rx.push(rx);
     }
 
-    // Module threads. Module i consumes down_rx[i] and up_rx[i+1], and
+    // Module jobs. Module i consumes down_rx[i] and up_rx[i+1], and
     // produces into down_tx[i+1] and up_tx[i].
     let mut down_rx_iter = down_rx.into_iter();
     // lint: allow(L002, n+1 down channels were just created above; the iterator cannot be empty)
@@ -339,21 +448,13 @@ pub fn build_stack(
             .telemetry
             .as_ref()
             .map(|r| ModuleTelemetry::new(r, module.name()));
-        let name = format!("dacapo-mod-{}", module.name());
         let module_quiesce = quiesce.clone();
-        let spawned = std::thread::Builder::new().name(name.clone()).spawn(move || {
+        jobs.push(Box::new(move || {
             module_loop(
                 module, down_in, up_in, down_out, up_out, flag, tick, idle, wake,
                 module_quiesce, telemetry,
             )
-        });
-        match spawned {
-            Ok(handle) => threads.push(handle),
-            Err(e) => {
-                abort_partial_stack(&shutdown, &mut wake_tx, &mut threads);
-                return Err(DacapoError::Runtime(format!("spawn {name}: {e}")));
-            }
-        }
+        }));
     }
     // The remaining down receiver feeds the transport TX pump.
     let t_down_rx = prev_down_rx;
@@ -374,56 +475,47 @@ pub fn build_stack(
                 r.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", "tx")])),
             )
         });
-        let spawned = std::thread::Builder::new()
-            .name("dacapo-t-tx".into())
-            .spawn(move || loop {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-                let mut sel = Select::new();
-                let wake_idx = sel.recv(&wake);
-                let down_idx = sel.recv(&t_down_rx);
-                let op = sel.select();
-                if op.index() == down_idx {
-                    match op.recv(&t_down_rx) {
-                        Ok(pkt) => {
-                            let wire_len = pkt.len() as u64;
-                            if transport.send(pkt.into_bytes()).is_err() {
-                                if !flag.load(Ordering::Acquire) {
-                                    signal_transport_death(
-                                        &dead,
-                                        &app_up,
-                                        &tx_quiesce,
-                                        flight_reg.as_deref(),
-                                        "tx",
-                                    );
-                                }
-                                return;
-                            }
-                            if let Some((frames, bytes)) = &wire {
-                                frames.inc();
-                                bytes.add(wire_len);
-                            }
-                            // The bottom down queue just shrank; a drainer
-                            // may now observe quiescence.
-                            tx_quiesce.pulse();
-                        }
-                        Err(_) => return,
-                    }
-                } else {
-                    debug_assert_eq!(op.index(), wake_idx);
-                    // Disconnected wake channel: shutdown was signalled;
-                    // the flag check at the top of the loop returns.
-                    let _ = op.recv(&wake);
-                }
-            });
-        match spawned {
-            Ok(handle) => threads.push(handle),
-            Err(e) => {
-                abort_partial_stack(&shutdown, &mut wake_tx, &mut threads);
-                return Err(DacapoError::Runtime(format!("spawn dacapo-t-tx: {e}")));
+        jobs.push(Box::new(move || loop {
+            if flag.load(Ordering::Acquire) {
+                return;
             }
-        }
+            let mut sel = Select::new();
+            let wake_idx = sel.recv(&wake);
+            let down_idx = sel.recv(&t_down_rx);
+            let op = sel.select();
+            if op.index() == down_idx {
+                match op.recv(&t_down_rx) {
+                    Ok(pkt) => {
+                        let wire_len = pkt.len() as u64;
+                        if transport.send(pkt.into_bytes()).is_err() {
+                            if !flag.load(Ordering::Acquire) {
+                                signal_transport_death(
+                                    &dead,
+                                    &app_up,
+                                    &tx_quiesce,
+                                    flight_reg.as_deref(),
+                                    "tx",
+                                );
+                            }
+                            return;
+                        }
+                        if let Some((frames, bytes)) = &wire {
+                            frames.inc();
+                            bytes.add(wire_len);
+                        }
+                        // The bottom down queue just shrank; a drainer
+                        // may now observe quiescence.
+                        tx_quiesce.pulse();
+                    }
+                    Err(_) => return,
+                }
+            } else {
+                debug_assert_eq!(op.index(), wake_idx);
+                // Disconnected wake channel: shutdown was signalled;
+                // the flag check at the top of the loop returns.
+                let _ = op.recv(&wake);
+            }
+        }));
     }
 
     // Transport RX pump feeds up_tx[n] (bottom of the up chain). It blocks
@@ -444,50 +536,43 @@ pub fn build_stack(
                 r.counter(&Registry::labeled("dacapo_wire_bytes_total", &[("dir", "rx")])),
             )
         });
-        let spawned = std::thread::Builder::new()
-            .name("dacapo-t-rx".into())
-            .spawn(move || loop {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-                match transport.recv(&wake) {
-                    Ok(Some(frame)) => {
-                        if let Some((frames, bytes)) = &wire {
-                            frames.inc();
-                            bytes.add(frame.len() as u64);
-                        }
-                        let pkt = Packet::from_shared(frame, PacketKind::Data);
-                        if up_bottom.send(pkt).is_err() {
-                            return;
-                        }
+        jobs.push(Box::new(move || loop {
+            if flag.load(Ordering::Acquire) {
+                return;
+            }
+            match transport.recv(&wake) {
+                Ok(Some(frame)) => {
+                    if let Some((frames, bytes)) = &wire {
+                        frames.inc();
+                        bytes.add(frame.len() as u64);
                     }
-                    // Woken: shutdown was signalled.
-                    Ok(None) => return,
-                    Err(_) => {
-                        // Permanent transport failure (peer severed, I/O
-                        // error): tell the application instead of dying
-                        // silently, unless this is an orderly shutdown.
-                        if !flag.load(Ordering::Acquire) {
-                            signal_transport_death(
-                                &dead,
-                                &app_up,
-                                &rx_quiesce,
-                                flight_reg.as_deref(),
-                                "rx",
-                            );
-                        }
+                    let pkt = Packet::from_shared(frame, PacketKind::Data);
+                    if up_bottom.send(pkt).is_err() {
                         return;
                     }
                 }
-            });
-        match spawned {
-            Ok(handle) => threads.push(handle),
-            Err(e) => {
-                abort_partial_stack(&shutdown, &mut wake_tx, &mut threads);
-                return Err(DacapoError::Runtime(format!("spawn dacapo-t-rx: {e}")));
+                // Woken: shutdown was signalled.
+                Ok(None) => return,
+                Err(_) => {
+                    // Permanent transport failure (peer severed, I/O
+                    // error): tell the application instead of dying
+                    // silently, unless this is an orderly shutdown.
+                    if !flag.load(Ordering::Acquire) {
+                        signal_transport_death(
+                            &dead,
+                            &app_up,
+                            &rx_quiesce,
+                            flight_reg.as_deref(),
+                            "rx",
+                        );
+                    }
+                    return;
+                }
             }
-        }
+        }));
     }
+
+    let workers = start_jobs(jobs, &mut threads, &shutdown, &mut wake_tx)?;
 
     let tx_meter = Arc::new(ThroughputMeter::new());
     let rx_meter = Arc::new(ThroughputMeter::new());
@@ -509,7 +594,8 @@ pub fn build_stack(
     Ok(StackHandle {
         app,
         shutdown,
-        threads,
+        workers,
+        spare: threads,
         module_names,
         queue_probes,
         idle_flags,
@@ -624,6 +710,8 @@ mod tests {
     use crate::functions::MechanismId;
     use crate::tlayer::loopback_pair;
     use bytes::Bytes;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     fn modules_from(ids: &[&str]) -> Vec<Box<dyn Module>> {
         let catalog = MechanismCatalog::standard();
@@ -638,11 +726,16 @@ mod tests {
             .collect()
     }
 
+    /// A stack of `ids` over `transport`, on new threads.
+    fn stack_on(ids: &[&str], transport: impl Transport, opts: &RuntimeOptions) -> StackHandle {
+        build_stack(modules_from(ids), Arc::new(transport), opts, StackThreads::default()).unwrap()
+    }
+
     fn stack_pair(ids: &[&str]) -> (StackHandle, StackHandle) {
         let (ta, tb) = loopback_pair();
         let opts = RuntimeOptions::default();
-        let a = build_stack(modules_from(ids), Arc::new(ta), &opts).unwrap();
-        let b = build_stack(modules_from(ids), Arc::new(tb), &opts).unwrap();
+        let a = stack_on(ids, ta, &opts);
+        let b = stack_on(ids, tb, &opts);
         (a, b)
     }
 
@@ -748,8 +841,8 @@ mod tests {
         let (ta, tb) = loopback_pair();
         // A transport that swallows sends keeps the wire from draining.
         let opts = RuntimeOptions::default();
-        let a = build_stack(modules_from(&["dummy"; 5]), Arc::new(ta), &opts).unwrap();
-        let b = build_stack(modules_from(&[]), Arc::new(tb), &opts).unwrap();
+        let a = stack_on(&["dummy"; 5], ta, &opts);
+        let b = stack_on(&[], tb, &opts);
         // Flood until the app-side send would block, then a bit more from
         // a background thread to guarantee blocked module sends.
         let ep = a.endpoint().clone();
@@ -762,13 +855,159 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(50));
         let start = Instant::now();
-        a.shutdown();
+        let threads = a.shutdown();
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "shutdown deadlocked with full queues"
         );
         b.shutdown();
         let _ = flooder.join();
+
+        // The threads came back in working order: a fresh stack runs on
+        // them and round-trips a packet.
+        let (ta, tb) = loopback_pair();
+        let a = build_stack(modules_from(&["dummy"; 5]), Arc::new(ta), &opts, threads).unwrap();
+        let b = stack_on(&[], tb, &opts);
+        a.endpoint().send(Bytes::from_static(b"after flood")).unwrap();
+        assert_eq!(
+            &b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            b"after flood"
+        );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    type SeenThreads = Arc<Mutex<HashSet<ThreadId>>>;
+
+    /// Forwards packets unchanged and records the thread it runs on.
+    struct ThreadProbe(SeenThreads);
+
+    impl Module for ThreadProbe {
+        fn name(&self) -> &str {
+            "thread-probe"
+        }
+        fn process_down(&mut self, pkt: Packet, out: &mut Outputs) {
+            self.0.lock().insert(std::thread::current().id());
+            out.push_down(pkt);
+        }
+        fn process_up(&mut self, pkt: Packet, out: &mut Outputs) {
+            out.push_up(pkt);
+        }
+    }
+
+    /// A transport that records the threads of the pumps calling it.
+    struct ProbedTransport<T> {
+        inner: T,
+        seen: SeenThreads,
+    }
+
+    impl<T: Transport> Transport for ProbedTransport<T> {
+        fn send(&self, frame: Bytes) -> Result<(), DacapoError> {
+            self.seen.lock().insert(std::thread::current().id());
+            self.inner.send(frame)
+        }
+        fn recv(&self, wake: &Receiver<()>) -> Result<Option<Bytes>, DacapoError> {
+            self.seen.lock().insert(std::thread::current().id());
+            self.inner.recv(wake)
+        }
+        fn close(&self) {
+            self.inner.close()
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// Sends one packet each way between `a` and `b`.
+    fn round_trip(a: &StackHandle, b: &StackHandle) {
+        a.endpoint().send(Bytes::from_static(b"ping")).unwrap();
+        assert_eq!(&b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], b"ping");
+        b.endpoint().send(Bytes::from_static(b"pong")).unwrap();
+        assert_eq!(&a.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..], b"pong");
+    }
+
+    #[test]
+    fn rebuilt_stacks_reuse_the_old_threads() {
+        let seen = SeenThreads::default();
+        let (ta, tb) = loopback_pair();
+        let ta: Arc<dyn Transport> = Arc::new(ProbedTransport {
+            inner: ta,
+            seen: seen.clone(),
+        });
+        let opts = RuntimeOptions::default();
+        let peer = stack_on(&[], tb, &opts);
+        let probes = |count: usize| -> Vec<Box<dyn Module>> {
+            (0..count)
+                .map(|_| Box::new(ThreadProbe(seen.clone())) as Box<dyn Module>)
+                .collect()
+        };
+        let take_seen = || std::mem::take(&mut *seen.lock());
+
+        // 4 threads, then 3 on the same threads (one spare), then 4 again.
+        let first = build_stack(probes(2), ta.clone(), &opts, StackThreads::default()).unwrap();
+        assert_eq!(first.thread_count(), 4);
+        round_trip(&first, &peer);
+        let first_ids = take_seen();
+        assert_eq!(first_ids.len(), 4, "two modules and two pumps");
+
+        let second = build_stack(probes(1), ta.clone(), &opts, first.shutdown()).unwrap();
+        assert_eq!(second.thread_count(), 3);
+        round_trip(&second, &peer);
+        let second_ids = take_seen();
+        assert_eq!(second_ids.len(), 3);
+        assert!(second_ids.is_subset(&first_ids), "second stack spawned a thread");
+
+        let third = build_stack(probes(2), ta.clone(), &opts, second.shutdown()).unwrap();
+        assert_eq!(third.thread_count(), 4);
+        round_trip(&third, &peer);
+        let third_ids = take_seen();
+        assert_eq!(third_ids.len(), 4);
+        assert!(third_ids.is_subset(&first_ids), "the spare thread was not kept");
+
+        third.shutdown();
+        peer.shutdown();
+    }
+
+    /// Panics on the first packet sent down through it.
+    struct PanicDown;
+
+    impl Module for PanicDown {
+        fn name(&self) -> &str {
+            "panic-down"
+        }
+        fn process_down(&mut self, _pkt: Packet, _out: &mut Outputs) {
+            panic!("module failure injected by the test");
+        }
+        fn process_up(&mut self, pkt: Packet, out: &mut Outputs) {
+            out.push_up(pkt);
+        }
+    }
+
+    #[test]
+    fn panicked_module_thread_is_replaced() {
+        let (ta, tb) = loopback_pair();
+        let ta: Arc<dyn Transport> = Arc::new(ta);
+        let opts = RuntimeOptions::default();
+        let a = build_stack(vec![Box::new(PanicDown)], ta.clone(), &opts, StackThreads::default())
+            .unwrap();
+        let b = stack_on(&[], tb, &opts);
+        a.endpoint().send(Bytes::from_static(b"boom")).unwrap();
+        // The module thread dies; the application sees nothing arrive.
+        assert!(b.endpoint().recv_timeout(Duration::from_millis(100)).is_err());
+
+        let start = Instant::now();
+        let threads = a.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "shutdown waited on a dead thread: {:?}",
+            start.elapsed()
+        );
+
+        let a = build_stack(modules_from(&["dummy"]), ta, &opts, threads).unwrap();
+        assert_eq!(a.thread_count(), 3);
+        round_trip(&a, &b);
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]
@@ -799,8 +1038,8 @@ mod tests {
             telemetry: Some(registry.clone()),
             ..RuntimeOptions::default()
         };
-        let a = build_stack(modules_from(&["crc32"]), Arc::new(ta), &opts).unwrap();
-        let b = build_stack(modules_from(&["crc32"]), Arc::new(tb), &opts).unwrap();
+        let a = stack_on(&["crc32"], ta, &opts);
+        let b = stack_on(&["crc32"], tb, &opts);
         for i in 0..10u8 {
             a.endpoint().send(Bytes::from(vec![i; 64])).unwrap();
         }
@@ -836,7 +1075,7 @@ mod tests {
     fn transport_death_signals_application_promptly() {
         let (ta, tb) = loopback_pair();
         let opts = RuntimeOptions::default();
-        let b = build_stack(modules_from(&[]), Arc::new(tb), &opts).unwrap();
+        let b = stack_on(&[], tb, &opts);
         // Data in flight before the wire dies is still delivered.
         ta.send(Bytes::from_static(b"last words")).unwrap();
         assert_eq!(

