@@ -2,10 +2,10 @@
 //! operator would drive it: raw HTTP GETs against a running ORB.
 //!
 //! A client ORB with `OrbConfig::introspect` enabled invokes a traced
-//! echo server (separate registry, so the merged traces on `/spans`
+//! echo server (separate registry, so wire gaps on the `/spans` records
 //! prove the wire path), then each of the four routes is fetched over
 //! plain TCP and sanity-checked. Exits non-zero if any route is missing,
-//! malformed, or missing the merged trace.
+//! malformed, or no record carries wire gaps.
 //!
 //! ```text
 //! cargo run --release -p bench --bin introspect_smoke
@@ -116,8 +116,8 @@ fn main() -> Result<(), String> {
         - spans.matches("\"wire_out_us\":null").count();
     all_ok &= check(
         "/spans",
-        status == 200 && spans.contains("\"traces\":[") && merged > 0,
-        &format!("{status}, {merged} merged trace(s) on display"),
+        status == 200 && spans.contains("\"spans\":[") && merged > 0,
+        &format!("{status}, {merged} record(s) with wire gaps on display"),
     );
 
     let (status, flight) = http_get(addr, "/flight")?;

@@ -4,12 +4,13 @@
 //! on *disjoint* client/server registries (the two-process topology),
 //! differing only in `OrbConfig::tracing`: off attaches no trace service
 //! contexts; on carries a request trace context out (21 bytes) and a
-//! reply trace context back (37 bytes) on every invocation and merges a
-//! full distributed trace on the client. The difference is the tracing
-//! bill and nothing else: two service contexts encoded and decoded, two
-//! wall-clock reads (the other two stamps are derived from monotonic
-//! gaps), and the trace-store bookkeeping — the spans, histograms and
-//! counters are identical on both sides of the comparison.
+//! reply trace context back (37 bytes) on every invocation and joins the
+//! server half into the client's invocation record. The difference is the
+//! tracing bill and nothing else: two service contexts encoded and
+//! decoded, two wall-clock reads (the other two stamps are derived from
+//! monotonic gaps), and the join — the records, histograms and counters
+//! are identical on both sides of the comparison, and the join takes no
+//! extra lock.
 //!
 //! Both harnesses stay alive for the whole run and small batches of calls
 //! alternate between them (off/on order flipping every batch), so machine
@@ -125,9 +126,9 @@ fn run_trial(batches: usize, batch_calls: usize, payload: usize) -> Trial {
         .unwrap_or(0);
     let merged_traces = on
         .client_reg
-        .recent_traces()
+        .recent()
         .iter()
-        .filter(|t| t.is_merged())
+        .filter(|r| r.wire_out_us.is_some() && r.wire_back_us.is_some())
         .count() as u64;
     let untraced_joins = off
         .server_reg

@@ -262,6 +262,30 @@ mod tests {
     }
 
     #[test]
+    fn best_effort_name_binding_resolves_to_an_invocable_reference() {
+        // A plain name service on top of the directory: register with a
+        // one-rung best-effort ladder, resolve with a best-effort spec.
+        let (_orb, server, dir_ref, exchange) = setup();
+        let client_orb = Orb::with_exchange("app", exchange);
+        let dir = DirectoryClient::connect(&client_orb, &dir_ref).expect("connect");
+        let echo_ref = server.object_ref("echo");
+        dir.register("services/echo", &echo_ref, &[QoSSpec::best_effort()])
+            .expect("register");
+        let found = dir
+            .resolve("services/echo", &QoSSpec::best_effort())
+            .expect("resolve");
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].reference, echo_ref);
+        let stub = client_orb.bind(&found[0].reference).expect("bind");
+        let reply = stub
+            .invoke("ping", Bytes::from_static(b"via naming"))
+            .expect("invoke");
+        assert_eq!(&reply[..], b"via naming");
+        client_orb.shutdown();
+        server.close();
+    }
+
+    #[test]
     fn unknown_name_raises_not_found() {
         let (_orb, server, dir_ref, exchange) = setup();
         let client_orb = Orb::with_exchange("app", exchange);

@@ -1,7 +1,6 @@
 //! # cool-naming — a QoS-aware replica directory, served over the ORB
 //!
-//! The plain [`cool_orb::naming`] service maps one name to one stringified
-//! reference; this crate grows that into a *replica directory*: servers
+//! The ORB's one naming service, as a *replica directory*: servers
 //! register an object reference together with the QoS ladder they can
 //! offer, and clients resolve by **name + required QoS**, getting back the
 //! full candidate replica set ranked by how high a rung of each replica's
@@ -10,7 +9,12 @@
 //! replica, load-balances fresh bindings across equivalent ones and fails
 //! over mid-traffic when the active replica dies.
 //!
-//! Like the name service, the directory is self-hosting: it is a regular
+//! A plain name binding is an entry offering one best-effort rung
+//! (`[QoSSpec::best_effort()]`), and resolving it with
+//! `QoSSpec::best_effort()` is a plain lookup. An *empty* ladder matches
+//! nothing, so a name binding needs that one rung.
+//!
+//! The directory is self-hosting: it is a regular
 //! servant (`register`, `deregister`, `resolve`, `list`) marshalled over
 //! CDR and served over any transport the ORB supports — directory traffic
 //! is dogfooded GIOP traffic. Requests carry an explicit byte-order flag

@@ -13,7 +13,7 @@ use crate::object::ObjectKey;
 use crate::servant::{FnServant, InvocationCtx, Servant};
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::trace::duration_as_u32_us;
-use cool_telemetry::{Histogram, Registry, Stage};
+use cool_telemetry::{Histogram, Registry};
 use multe_qos::{GrantedQoS, QoSSpec, ServerPolicy};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -82,8 +82,7 @@ impl ObjectAdapter {
     }
 
     /// Creates an empty adapter reporting into `telemetry` (negotiation
-    /// outcome counters, the `orb_servant_execute_us` histogram, and the
-    /// server-side span stages of traced dispatches).
+    /// outcome counters and the `orb_servant_execute_us` histogram).
     pub fn with_telemetry(telemetry: Option<Arc<Registry>>) -> Self {
         ObjectAdapter {
             objects: RwLock::new(HashMap::new()),
@@ -191,10 +190,8 @@ impl ObjectAdapter {
         self.dispatch_traced(key, operation, args, spec, one_way, None)
     }
 
-    /// Like [`ObjectAdapter::dispatch`], attributing the server-side span
-    /// stages (`qos_negotiate`, `servant_execute`) to `request_id` when the
-    /// adapter has telemetry. The marks land only if the client opened its
-    /// span in the *same* registry (loopback setups sharing one registry).
+    /// Like [`ObjectAdapter::dispatch`], attributing flight events (a QoS
+    /// NACK) to `request_id` when the adapter has telemetry.
     pub fn dispatch_traced(
         &self,
         key: impl AsRef<[u8]>,
@@ -240,9 +237,9 @@ impl ObjectAdapter {
         };
 
         // Bilateral negotiation (Figure 3): only engaged when the client
-        // actually specified QoS. Best-effort requests still get the span
-        // mark (a ~zero-length stage) but do not tick negotiation counters
-        // — no negotiation took place.
+        // actually specified QoS. Best-effort requests still report a
+        // (~zero-length) negotiate time but do not tick negotiation
+        // counters — no negotiation took place.
         let neg_start = Instant::now();
         let negotiated = if spec.is_best_effort() {
             None
@@ -251,13 +248,8 @@ impl ObjectAdapter {
         };
         let neg_took = neg_start.elapsed();
         timings.negotiate_us = duration_as_u32_us(neg_took);
-        if let Some(t) = &self.telemetry {
-            if let Some(result) = &negotiated {
-                multe_qos::telemetry::record_negotiation(&t.registry, spec, result);
-            }
-            if let Some(id) = request_id {
-                t.registry.span_mark(id, Stage::QosNegotiate, neg_took);
-            }
+        if let (Some(t), Some(result)) = (&self.telemetry, &negotiated) {
+            multe_qos::telemetry::record_negotiation(&t.registry, spec, result);
         }
         let granted = match negotiated {
             None => GrantedQoS::best_effort(),
@@ -281,9 +273,6 @@ impl ObjectAdapter {
         timings.execute_us = duration_as_u32_us(took);
         if let Some(t) = &self.telemetry {
             t.execute_us.record_duration_us(took);
-            if let Some(id) = request_id {
-                t.registry.span_mark(id, Stage::ServantExecute, took);
-            }
         }
         let outcome = match result {
             Ok(body) => DispatchOutcome::Success { body, granted },

@@ -33,13 +33,16 @@ use crate::transport::{ComChannel, FrameSink};
 use bytes::Bytes;
 use cool_giop::prelude::*;
 use cool_telemetry::flight::event as flight_event;
-use cool_telemetry::{names, Counter, Histogram, Registry, ServerTraceTiming, SpanOutcome, Stage};
+use cool_telemetry::{
+    names, ClientTrace, Counter, Histogram, InvocationKey, Registry, ServerTraceTiming,
+    SpanOutcome, Stage, TraceMark,
+};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use multe_qos::{GrantedQoS, TransportRequirements};
 use cool_telemetry::lockorder::OrderedMutex;
 use cool_telemetry::lockorder::rank as lock_rank;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -57,6 +60,13 @@ enum Slot {
 }
 
 impl Slot {
+    /// A slot for a caller that blocks on the reply, and the receiver it
+    /// waits with.
+    fn sync() -> (Slot, Receiver<ReplyResult>) {
+        let (tx, rx) = bounded(1);
+        (Slot::Sync(tx), rx)
+    }
+
     fn complete(self, result: ReplyResult) {
         match self {
             Slot::Sync(tx) => {
@@ -70,10 +80,12 @@ impl Slot {
 type PendingMap = Arc<OrderedMutex<HashMap<u32, Slot>>>;
 
 /// Pre-resolved client-side metric handles (one lookup per binding, then
-/// relaxed atomics on the hot path).
+/// relaxed atomics on the hot path), plus the binding id that keys this
+/// binding's invocation records.
 #[derive(Clone)]
 struct ClientMetrics {
     registry: Arc<Registry>,
+    binding: u64,
     invocations: Arc<Counter>,
     latency: Arc<Histogram>,
     timeouts: Arc<Counter>,
@@ -82,9 +94,10 @@ struct ClientMetrics {
 }
 
 impl ClientMetrics {
-    fn resolve(registry: Arc<Registry>, transport: &str) -> Self {
+    fn resolve(registry: Arc<Registry>, transport: &str, binding: u64) -> Self {
         let labels: &[(&str, &str)] = &[("transport", transport)];
         ClientMetrics {
+            binding,
             invocations: registry.counter(&Registry::labeled("orb_invocations_total", labels)),
             latency: registry.histogram(&Registry::labeled("orb_invocation_latency_us", labels)),
             timeouts: registry.counter("orb_timeouts_total"),
@@ -94,13 +107,24 @@ impl ClientMetrics {
         }
     }
 
-    /// Closes the span for a completed invocation (merging the distributed
-    /// trace when one is pending) and feeds the invocation counter +
-    /// end-to-end latency histogram.
+    fn key(&self, request_id: u32) -> InvocationKey {
+        InvocationKey {
+            binding: self.binding,
+            request_id,
+        }
+    }
+
+    fn mark(&self, request_id: u32, stage: Stage, duration: Duration, trace: Option<TraceMark>) {
+        self.registry
+            .mark(self.key(request_id), stage, duration, trace);
+    }
+
+    /// Closes the record of a completed invocation and feeds the
+    /// invocation counter + end-to-end latency histogram.
     fn finish_invocation(&self, request_id: u32, result: &ReplyResult) {
         let total_us = self
             .registry
-            .span_finish_traced(request_id, outcome_of(result));
+            .finish(self.key(request_id), outcome_of(result));
         self.invocations.inc();
         if matches!(result, Err(OrbError::Timeout { .. })) {
             self.timeouts.inc();
@@ -112,10 +136,10 @@ impl ClientMetrics {
         }
     }
 
-    /// Closes the span (and any pending trace) for an invocation that
-    /// never completed normally — encode or send failure, cancellation.
+    /// Closes the record of an invocation that never completed normally —
+    /// encode or send failure, cancellation.
     fn abort_invocation(&self, request_id: u32, outcome: SpanOutcome) {
-        self.registry.span_finish_traced(request_id, outcome);
+        self.registry.finish(self.key(request_id), outcome);
     }
 }
 
@@ -126,6 +150,13 @@ fn outcome_of(result: &ReplyResult) -> SpanOutcome {
         Err(OrbError::Timeout { .. }) => SpanOutcome::Timeout,
         Err(_) => SpanOutcome::Error,
     }
+}
+
+/// Hands out process-unique binding ids, so invocation records of
+/// bindings that share a registry never collide on a request id.
+fn next_binding_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// How a binding re-establishes its transport after the connection dies:
@@ -186,14 +217,14 @@ impl std::fmt::Debug for Binding {
 struct DemuxSink {
     pending: PendingMap,
     closed: Arc<AtomicBool>,
-    /// For the `ReplyDecode` span mark; the span itself is owned by the
+    /// For the `ReplyDecode` mark; the record itself is owned by the
     /// caller that opened it in `call`/`defer`/`notify`.
-    registry: Option<Arc<Registry>>,
+    telemetry: Option<ClientMetrics>,
 }
 
 impl FrameSink for DemuxSink {
     fn on_frame(&self, frame: Bytes) {
-        demux_frame(&frame, &self.pending, &self.closed, self.registry.as_deref());
+        demux_frame(&frame, &self.pending, &self.closed, self.telemetry.as_ref());
     }
 
     fn on_close(&self) {
@@ -215,10 +246,11 @@ impl Binding {
         protocol: WireProtocol,
         config: &OrbConfig,
     ) -> Arc<Self> {
+        let binding = next_binding_id();
         let telemetry = config
             .telemetry
             .as_ref()
-            .map(|r| ClientMetrics::resolve(Arc::clone(r), channel.kind()));
+            .map(|r| ClientMetrics::resolve(Arc::clone(r), channel.kind(), binding));
         let pending: PendingMap = Arc::new(OrderedMutex::new(
             lock_rank::BINDING_PENDING,
             "binding.pending",
@@ -351,7 +383,7 @@ impl Binding {
         qos_params: &[QoSParameter],
         response_expected: bool,
         started: Instant,
-    ) -> Result<(Bytes, Option<cool_telemetry::ClientTrace>), OrbError> {
+    ) -> Result<(Bytes, Option<ClientTrace>), OrbError> {
         match self.protocol {
             WireProtocol::Giop => {
                 // With telemetry enabled (and tracing not switched off in
@@ -361,7 +393,7 @@ impl Binding {
                 // (DESIGN.md §6). Otherwise nothing is attached and the
                 // wire bytes are identical to the untraced build. The
                 // client half is returned to the caller, which attaches it
-                // to the span while marking `Marshal` — one lock for both.
+                // to the record while marking `Marshal` — one lock for both.
                 let trace = self.telemetry.as_ref().filter(|_| self.tracing).map(|t| {
                     let trace_id = cool_telemetry::next_trace_id();
                     let sent_mono = Instant::now();
@@ -376,7 +408,7 @@ impl Binding {
                     t.ctx_bytes.add(RequestTraceContext::WIRE_LEN as u64);
                     (
                         ctx,
-                        cool_telemetry::ClientTrace {
+                        ClientTrace {
                             trace_id,
                             sent_at_ns,
                             sent_mono,
@@ -420,10 +452,83 @@ impl Binding {
         }
     }
 
-    fn register_sync(&self, request_id: u32) -> Receiver<ReplyResult> {
-        let (tx, rx) = bounded(1);
-        self.pending.lock().insert(request_id, Slot::Sync(tx));
-        rx
+    /// The send sequence every invocation style shares: open the record,
+    /// encode, mark `Marshal`, register `slot` under the request id, send
+    /// the frame, mark `FrameSend`. No slot means one-way. On failure the
+    /// slot is withdrawn and the record closed as `Error`. Returns the
+    /// request id and the channel the request went out on.
+    fn send_request(
+        &self,
+        object_key: &[u8],
+        operation: &str,
+        args: Bytes,
+        qos_params: &[QoSParameter],
+        slot: Option<Slot>,
+    ) -> Result<(u32, Arc<dyn ComChannel>), OrbError> {
+        if self.is_closed() {
+            return Err(OrbError::Closed);
+        }
+        let conn = self.current();
+        let start = Instant::now();
+        let request_id = self.next_request_id();
+        let t = self.telemetry.as_ref();
+        if let Some(t) = t {
+            t.registry
+                .begin(t.key(request_id), operation, conn.channel.kind());
+        }
+        let sent = self
+            .encode_request(
+                request_id,
+                object_key,
+                operation,
+                args,
+                qos_params,
+                slot.is_some(),
+                start,
+            )
+            .and_then(|(frame, trace)| {
+                if let Some(t) = t {
+                    t.mark(
+                        request_id,
+                        Stage::Marshal,
+                        start.elapsed(),
+                        trace.map(TraceMark::Sent),
+                    );
+                }
+                if let Some(slot) = slot {
+                    // With telemetry on, a callback is wrapped so the record
+                    // closes (and the invocation counters tick) before the
+                    // user code runs — still on the delivery thread.
+                    let slot = match (slot, t) {
+                        (Slot::Callback(callback), Some(t)) => {
+                            let t = t.clone();
+                            Slot::Callback(Box::new(move |result: ReplyResult| {
+                                t.finish_invocation(request_id, &result);
+                                callback(result);
+                            }))
+                        }
+                        (slot, _) => slot,
+                    };
+                    self.pending.lock().insert(request_id, slot);
+                }
+                let send_start = Instant::now();
+                conn.channel.send_frame(frame).inspect_err(|_| {
+                    self.pending.lock().remove(&request_id);
+                })?;
+                if let Some(t) = t {
+                    t.mark(request_id, Stage::FrameSend, send_start.elapsed(), None);
+                }
+                Ok(())
+            });
+        match sent {
+            Ok(()) => Ok((request_id, conn.channel)),
+            Err(e) => {
+                if let Some(t) = t {
+                    t.abort_invocation(request_id, SpanOutcome::Error);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Two-way synchronous invocation.
@@ -440,43 +545,9 @@ impl Binding {
         qos_params: &[QoSParameter],
         timeout: Duration,
     ) -> ReplyResult {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
         let start = Instant::now();
-        let request_id = self.next_request_id();
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, true, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        let rx = self.register_sync(request_id);
-        let send_start = Instant::now();
-        if let Err(e) = conn.channel.send_frame(frame) {
-            self.pending.lock().remove(&request_id);
-            if let Some(t) = &self.telemetry {
-                t.abort_invocation(request_id, SpanOutcome::Error);
-            }
-            return Err(e);
-        }
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-        }
+        let (slot, rx) = Slot::sync();
+        let (request_id, _) = self.send_request(object_key, operation, args, qos_params, Some(slot))?;
         // A true blocking wait: the delivery thread completes the slot the
         // moment the matching Reply frame arrives.
         let result = match rx.recv_timeout(timeout) {
@@ -506,48 +577,13 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<(), OrbError> {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
-        let start = Instant::now();
-        let request_id = self.next_request_id();
+        let (request_id, _) = self.send_request(object_key, operation, args, qos_params, None)?;
         if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, false, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        let send_start = Instant::now();
-        let sent = conn.channel.send_frame(frame);
-        if let Some(t) = &self.telemetry {
-            // One-way: the span ends once the request is on the wire.
-            let outcome = match &sent {
-                Ok(()) => {
-                    t.registry
-                        .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-                    SpanOutcome::Ok
-                }
-                Err(_) => SpanOutcome::Error,
-            };
-            // `span_finish_traced` also retires the trace entry the
-            // one-way request opened (there is no reply to merge).
-            t.registry.span_finish_traced(request_id, outcome);
+            // One-way: the record ends once the request is on the wire.
+            t.registry.finish(t.key(request_id), SpanOutcome::Ok);
             t.invocations.inc();
         }
-        sent
+        Ok(())
     }
 
     /// Deferred synchronous invocation: the reply is collected later via
@@ -563,48 +599,14 @@ impl Binding {
         args: Bytes,
         qos_params: &[QoSParameter],
     ) -> Result<DeferredReply, OrbError> {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
-        let start = Instant::now();
-        let request_id = self.next_request_id();
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, true, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        let rx = self.register_sync(request_id);
-        let send_start = Instant::now();
-        if let Err(e) = conn.channel.send_frame(frame) {
-            self.pending.lock().remove(&request_id);
-            if let Some(t) = &self.telemetry {
-                t.abort_invocation(request_id, SpanOutcome::Error);
-            }
-            return Err(e);
-        }
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-        }
+        let (slot, rx) = Slot::sync();
+        let (request_id, channel) =
+            self.send_request(object_key, operation, args, qos_params, Some(slot))?;
         Ok(DeferredReply {
             request_id,
             rx,
             pending: self.pending.clone(),
-            channel: conn.channel,
+            channel,
             order: self.order,
             done: false,
             ready: None,
@@ -626,59 +628,9 @@ impl Binding {
         qos_params: &[QoSParameter],
         callback: impl FnOnce(ReplyResult) + Send + 'static,
     ) -> Result<u32, OrbError> {
-        if self.is_closed() {
-            return Err(OrbError::Closed);
-        }
-        let conn = self.current();
-        let start = Instant::now();
-        let request_id = self.next_request_id();
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_begin(request_id, operation, conn.channel.kind());
-        }
-        let (frame, trace) = match self.encode_request(request_id, object_key, operation, args, qos_params, true, start)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.abort_invocation(request_id, SpanOutcome::Error);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark_attach(request_id, Stage::Marshal, start.elapsed(), trace);
-        }
-        // With telemetry on, the callback is wrapped so the span closes
-        // (and the invocation counters tick) before the user code runs —
-        // still on the transport's delivery thread.
-        let slot_callback: Box<dyn FnOnce(ReplyResult) + Send> = match &self.telemetry {
-            Some(t) => {
-                let t = t.clone();
-                Box::new(move |result: ReplyResult| {
-                    t.finish_invocation(request_id, &result);
-                    callback(result);
-                })
-            }
-            None => Box::new(callback),
-        };
-        self.pending
-            .lock()
-            .insert(request_id, Slot::Callback(slot_callback));
-        let send_start = Instant::now();
-        if let Err(e) = conn.channel.send_frame(frame) {
-            self.pending.lock().remove(&request_id);
-            if let Some(t) = &self.telemetry {
-                t.abort_invocation(request_id, SpanOutcome::Error);
-            }
-            return Err(e);
-        }
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .span_mark(request_id, Stage::FrameSend, send_start.elapsed());
-        }
-        Ok(request_id)
+        let slot = Slot::Callback(Box::new(callback));
+        self.send_request(object_key, operation, args, qos_params, Some(slot))
+            .map(|(request_id, _)| request_id)
     }
 
     /// Cancels a pending request: notifies the server (GIOP
@@ -734,7 +686,7 @@ fn install_sink(
     channel.set_sink(Arc::new(DemuxSink {
         pending: pending.clone(),
         closed: closed.clone(),
-        registry: telemetry.map(|t| Arc::clone(&t.registry)),
+        telemetry: telemetry.cloned(),
     }));
 }
 
@@ -746,19 +698,24 @@ fn fail_all(pending: &PendingMap, err: impl Fn() -> OrbError) {
 }
 
 /// Demultiplexes one inbound frame into the pending map. Runs on the
-/// transport's delivery thread. When `registry` is given, replies that
-/// match a pending request get a `ReplyDecode` span mark covering the
-/// sniff + decode + interpret work before the waiter is completed.
+/// transport's delivery thread. With telemetry, replies that match a
+/// pending request get a `ReplyDecode` mark covering the sniff + decode +
+/// interpret work before the waiter is completed.
 fn demux_frame(
     frame: &Bytes,
     pending: &PendingMap,
     closed: &AtomicBool,
-    registry: Option<&Registry>,
+    telemetry: Option<&ClientMetrics>,
 ) {
     let decode_start = Instant::now();
-    let mark_decode = |request_id: u32| {
-        if let Some(r) = registry {
-            r.span_mark(request_id, Stage::ReplyDecode, decode_start.elapsed());
+    let mark_decode = |request_id: u32, echoed: Option<TraceMark>| {
+        if let Some(t) = telemetry {
+            t.mark(
+                request_id,
+                Stage::ReplyDecode,
+                decode_start.elapsed(),
+                echoed,
+            );
         }
     };
     let Ok(protocol) = sniff(frame) else {
@@ -776,35 +733,25 @@ fn demux_frame(
                         let slot = pending.lock().remove(&header.request_id);
                         if let Some(slot) = slot {
                             let result = giop_helpers::interpret_reply(&header, &body, order);
-                            if let Some(r) = registry {
-                                // A traced server echoes its half of the
-                                // span in a reply service context; stash it
-                                // on the active span (same lock as the
-                                // decode mark) so the span finish merges
-                                // both halves into one TraceRecord. The
-                                // reply's arrival instant stands in for the
-                                // client receive stamp, derived against the
-                                // span's send stamp under that same lock.
-                                let reply = ReplyTraceContext::from_list(&header.service_context)
-                                    .map(|ctx| {
-                                        (
-                                            ServerTraceTiming {
-                                                recv_at_ns: ctx.recv_at_ns,
-                                                sent_at_ns: ctx.sent_at_ns,
-                                                queue_wait_us: ctx.queue_wait_us,
-                                                negotiate_us: ctx.negotiate_us,
-                                                execute_us: ctx.execute_us,
-                                            },
-                                            decode_start,
-                                        )
-                                    });
-                                r.span_mark_reply(
-                                    header.request_id,
-                                    Stage::ReplyDecode,
-                                    decode_start.elapsed(),
-                                    reply,
-                                );
-                            }
+                            // A traced server echoes its half in a reply
+                            // service context; the record joins it into
+                            // its server stages and wire gaps under the
+                            // decode mark's lock. The reply's arrival
+                            // instant stands in for the client receive
+                            // stamp, derived against the send stamp.
+                            let echoed = telemetry
+                                .and_then(|_| ReplyTraceContext::from_list(&header.service_context))
+                                .map(|ctx| {
+                                    let server = ServerTraceTiming {
+                                        recv_at_ns: ctx.recv_at_ns,
+                                        sent_at_ns: ctx.sent_at_ns,
+                                        queue_wait_us: ctx.queue_wait_us,
+                                        negotiate_us: ctx.negotiate_us,
+                                        execute_us: ctx.execute_us,
+                                    };
+                                    TraceMark::Echoed(server, decode_start)
+                                });
+                            mark_decode(header.request_id, echoed);
                             slot.complete(result);
                         }
                     }
@@ -820,7 +767,7 @@ fn demux_frame(
             Ok(CoolMessage::Reply { request_id, body }) => {
                 let slot = pending.lock().remove(&request_id);
                 if let Some(slot) = slot {
-                    mark_decode(request_id);
+                    mark_decode(request_id, None);
                     slot.complete(Ok((body, None)));
                 }
             }
@@ -831,7 +778,7 @@ fn demux_frame(
             }) => {
                 let slot = pending.lock().remove(&request_id);
                 if let Some(slot) = slot {
-                    mark_decode(request_id);
+                    mark_decode(request_id, None);
                     let err = match kind.as_str() {
                         "ObjectNotFound" => OrbError::ObjectNotFound(detail),
                         "OperationUnknown" => {

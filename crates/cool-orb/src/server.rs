@@ -41,7 +41,7 @@ use bytes::Bytes;
 use cool_giop::prelude::*;
 use cool_telemetry::flight::event as flight_event;
 use cool_telemetry::trace::duration_as_u32_us;
-use cool_telemetry::{names, Counter, Gauge, Histogram, Registry, Stage};
+use cool_telemetry::{names, Counter, Gauge, Histogram, Registry};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use multe_qos::QoSSpec;
 use cool_telemetry::lockorder::OrderedMutex;
@@ -497,15 +497,6 @@ struct Job {
     _guard: JobGuard,
 }
 
-impl Job {
-    fn request_id(&self) -> u32 {
-        match &self.work {
-            Work::Giop { header, .. } => header.request_id,
-            Work::Cool { request_id, .. } => *request_id,
-        }
-    }
-}
-
 enum Work {
     Giop {
         header: RequestHeader,
@@ -593,8 +584,6 @@ fn start_dispatchers(
                             m.note_queue_depth(rx.len());
                             let waited = job.enqueued.elapsed();
                             m.queue_wait.record_duration_us(waited);
-                            m.registry
-                                .span_mark(job.request_id(), Stage::QueueWait, waited);
                             m.busy.inc();
                             run_job(&adapter, job, Some(m));
                             m.busy.dec();

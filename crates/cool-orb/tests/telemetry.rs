@@ -1,17 +1,18 @@
 //! End-to-end observability: a client and server ORB sharing one
-//! `cool_telemetry::Registry` produce complete invocation spans (all six
+//! `cool_telemetry::Registry` produce complete invocation records (all six
 //! stages), consistent QoS negotiation counters, and populated latency
 //! histograms — over real loopback TCP.
 
 use bytes::Bytes;
 use cool_orb::exchange::LocalExchange;
 use cool_orb::{Orb, OrbConfig, OrbServer, Stub};
-use cool_telemetry::{Registry, SpanOutcome, SpanRecord, Stage};
+use cool_telemetry::{InvocationRecord, Registry, SpanOutcome, Stage};
 use multe_qos::QoSSpec;
 use std::sync::Arc;
 
 /// Client + server ORB pair over loopback TCP, both reporting into the
-/// same registry so spans carry the server-side stages too.
+/// same registry. The client's records carry the server-side stages from
+/// the reply's trace context.
 fn tcp_pair(registry: &Arc<Registry>) -> (OrbServer, Stub) {
     let config = OrbConfig {
         telemetry: Some(Arc::clone(registry)),
@@ -29,12 +30,13 @@ fn tcp_pair(registry: &Arc<Registry>) -> (OrbServer, Stub) {
     (server, stub)
 }
 
-/// Orderings that hold causally regardless of thread scheduling: the
-/// client-side marks are sequenced on the calling thread, the server-side
-/// marks on the dispatcher thread, and the reply decode happens after the
-/// servant ran. (Client `frame_send` vs. server `queue_wait` is a genuine
-/// race between two threads and is deliberately not asserted.)
-fn assert_stage_invariants(span: &SpanRecord) {
+/// Orderings that hold regardless of thread scheduling: the client-side
+/// marks are sequenced on the calling thread, the server-side stages are
+/// laid out from the reply's trace context in dispatcher order, and the
+/// reply decode happens after the servant ran. (Client `frame_send` vs.
+/// server `queue_wait` is a genuine race between two threads and is
+/// deliberately not asserted.)
+fn assert_stage_invariants(span: &InvocationRecord) {
     assert!(span.is_complete(), "incomplete span: {span:?}");
     let offset = |stage: Stage| span.stage(stage).unwrap().offset_us;
     assert!(offset(Stage::Marshal) <= offset(Stage::FrameSend), "{span:?}");
@@ -68,7 +70,7 @@ fn loopback_call_produces_a_complete_six_stage_span() {
         "negotiation should have been recorded: {}",
         registry.render_text()
     );
-    let spans = registry.recent_spans();
+    let spans = registry.recent();
     let span = spans
         .iter()
         .find(|s| &*s.operation == "echo")
@@ -76,6 +78,58 @@ fn loopback_call_produces_a_complete_six_stage_span() {
     assert_eq!(span.transport, "tcp");
     assert!(matches!(span.outcome, SpanOutcome::Ok));
     assert_stage_invariants(span);
+}
+
+#[test]
+fn two_bindings_sharing_a_registry_keep_their_records_apart() {
+    // Two client ORBs (so two bindings) and the server all report into
+    // one registry. Each binding numbers its requests from 1, so the two
+    // interleaved deferred calls below carry the same request id.
+    let registry = Arc::new(Registry::new());
+    let config = OrbConfig {
+        telemetry: Some(Arc::clone(&registry)),
+        ..Default::default()
+    };
+    let server_orb = Orb::with_exchange_and_config("server", LocalExchange::new(), config.clone());
+    server_orb
+        .adapter()
+        .register_fn("echo", |_op, args, _ctx| Ok(args.to_vec()))
+        .unwrap();
+    let server = server_orb.listen_tcp("127.0.0.1:0").unwrap();
+    let reference = server.object_ref("echo");
+    let orb_a = Orb::with_exchange_and_config("client-a", LocalExchange::new(), config.clone());
+    let orb_b = Orb::with_exchange_and_config("client-b", LocalExchange::new(), config);
+    let stub_a = orb_a.bind(&reference).unwrap();
+    let stub_b = orb_b.bind(&reference).unwrap();
+
+    let ping = stub_a
+        .invoke_deferred("ping", Bytes::from_static(b"a"))
+        .unwrap();
+    let pong = stub_b
+        .invoke_deferred("pong", Bytes::from_static(b"b"))
+        .unwrap();
+    assert_eq!(ping.request_id(), 1);
+    assert_eq!(pong.request_id(), 1);
+    let timeout = std::time::Duration::from_secs(5);
+    assert_eq!(&ping.wait(timeout).unwrap().0[..], b"a");
+    assert_eq!(&pong.wait(timeout).unwrap().0[..], b"b");
+
+    let spans = registry.recent();
+    assert!(
+        spans
+            .iter()
+            .all(|s| !matches!(s.outcome, SpanOutcome::Cancelled)),
+        "no call was cancelled: {spans:?}"
+    );
+    for operation in ["ping", "pong"] {
+        let mine: Vec<&InvocationRecord> = spans
+            .iter()
+            .filter(|s| &*s.operation == operation)
+            .collect();
+        assert_eq!(mine.len(), 1, "one record for {operation}: {spans:?}");
+        assert!(matches!(mine[0].outcome, SpanOutcome::Ok), "{:?}", mine[0]);
+        assert_stage_invariants(mine[0]);
+    }
 }
 
 #[test]
@@ -118,8 +172,8 @@ fn thousand_calls_fill_counters_histograms_and_span_ring() {
 
     // The bounded ring retains per-stage timings for at least the last 64
     // invocations, every one a complete Ok span.
-    let recent: Vec<SpanRecord> = registry
-        .recent_spans()
+    let recent: Vec<InvocationRecord> = registry
+        .recent()
         .into_iter()
         .filter(|s| matches!(s.outcome, SpanOutcome::Ok))
         .collect();
@@ -181,7 +235,7 @@ fn timeouts_are_attributed_and_counted() {
     }
     let snap = registry.snapshot();
     assert_eq!(snap.counter("orb_timeouts_total"), Some(1));
-    let spans = registry.recent_spans();
+    let spans = registry.recent();
     assert!(
         spans
             .iter()

@@ -1,16 +1,14 @@
 //! Cross-process distributed tracing over real loopback TCP.
 //!
-//! Unlike `tests/telemetry.rs` (which shares one registry between both
-//! ORBs, so spans merge in-process), these tests give the client and the
-//! server **separate** registries — the only way the server's stage
-//! timings can reach the client is over the wire, piggybacked in GIOP
-//! service contexts. That is exactly what a two-process deployment looks
-//! like, minus the clock skew.
+//! These tests give the client and the server **separate** registries —
+//! the server's stage timings reach the client's invocation records only
+//! over the wire, piggybacked in GIOP service contexts. That is exactly
+//! what a two-process deployment looks like, minus the clock skew.
 
 use bytes::Bytes;
 use cool_orb::exchange::LocalExchange;
 use cool_orb::{IntrospectPolicy, Orb, OrbConfig, OrbServer, Stub};
-use cool_telemetry::{names, Registry};
+use cool_telemetry::{names, Registry, Stage};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -58,32 +56,35 @@ fn each_invocation_yields_one_merged_trace_with_server_stages_and_wire_gaps() {
         assert_eq!(&body[..], format!("payload-{i}").as_bytes());
     }
 
-    let traces = client_reg.recent_traces();
-    assert_eq!(traces.len(), CALLS, "one merged trace per invocation");
+    let traces = client_reg.recent();
+    assert_eq!(traces.len(), CALLS, "one record per invocation");
 
     let mut ids = std::collections::HashSet::new();
     for t in &traces {
-        assert!(
-            t.is_merged(),
-            "trace must carry both halves and wire gaps: {t:?}"
-        );
-        assert!(ids.insert(t.trace_id), "trace ids must be unique: {t:?}");
+        let trace_id = t.trace_id.expect("traced invocation");
+        assert!(ids.insert(trace_id), "trace ids must be unique: {t:?}");
 
         // Client stages were measured locally on the caller thread.
-        assert_eq!(&*t.span.operation, "echo");
+        assert_eq!(&*t.operation, "echo");
         assert!(
-            t.span.stage(cool_telemetry::Stage::Marshal).is_some(),
+            t.stage(Stage::Marshal).is_some(),
             "client marshal stage missing: {t:?}"
         );
         assert!(
-            t.span.stage(cool_telemetry::Stage::ReplyDecode).is_some(),
+            t.stage(Stage::ReplyDecode).is_some(),
             "client reply-decode stage missing: {t:?}"
         );
 
         // Server stages only exist because the reply service context
-        // carried them — the registries are disjoint.
-        let server = t.server.expect("server half");
-        assert!(server.sent_at_ns >= server.recv_at_ns, "{server:?}");
+        // carried them — the registries are disjoint. They lie between
+        // the server's receive and send, in dispatcher order.
+        assert!(t.is_complete(), "record must carry the server half: {t:?}");
+        let at = |s: Stage| t.stage(s).unwrap().offset_us;
+        assert!(at(Stage::QueueWait) <= at(Stage::QosNegotiate), "{t:?}");
+        assert!(
+            at(Stage::QosNegotiate) <= at(Stage::ServantExecute),
+            "{t:?}"
+        );
 
         // Wire gaps are the wall-clock deltas around the server's work;
         // on one host they are small but must be present and sane
@@ -115,16 +116,16 @@ fn each_invocation_yields_one_merged_trace_with_server_stages_and_wire_gaps() {
         .unwrap();
     assert_eq!(client_ctx_bytes, (CALLS * 21) as u64);
 
-    // The server must NOT have produced client-side spans of its own —
-    // its half of the story travels on the reply only.
-    assert_eq!(server_reg.recent_traces().len(), 0);
+    // The server must NOT have produced records of its own — its half of
+    // the story travels on the reply only.
+    assert_eq!(server_reg.recent().len(), 0);
 }
 
 #[test]
 fn untraced_server_leaves_client_traces_unmerged() {
     // Server without telemetry: no trace join, no reply context. The
-    // client still records its own half and completes the trace record,
-    // just without server stages or wire gaps.
+    // client still records its own half and completes the record, just
+    // without server stages or wire gaps.
     let server_orb = Orb::with_exchange_and_config(
         "server",
         LocalExchange::new(),
@@ -147,10 +148,12 @@ fn untraced_server_leaves_client_traces_unmerged() {
     let stub = client_orb.bind(&server.object_ref("echo")).unwrap();
     stub.invoke("echo", Bytes::from_static(b"x")).unwrap();
 
-    let traces = client_reg.recent_traces();
+    let traces = client_reg.recent();
     assert_eq!(traces.len(), 1);
-    assert!(!traces[0].is_merged());
-    assert!(traces[0].server.is_none());
+    assert!(traces[0].trace_id.is_some());
+    assert!(traces[0].stage(Stage::QueueWait).is_none());
+    assert_eq!(traces[0].wire_out_us, None);
+    assert_eq!(traces[0].wire_back_us, None);
 }
 
 /// Minimal HTTP/1.0 GET against the introspection endpoint.
@@ -176,10 +179,15 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 
 #[test]
 fn introspection_endpoint_serves_all_four_resources() {
+    // Traced server with its own registry, so the client's record shows
+    // the wire gaps.
     let server_orb = Orb::with_exchange_and_config(
         "server",
         LocalExchange::new(),
-        OrbConfig::default(),
+        OrbConfig {
+            telemetry: Some(Arc::new(Registry::new())),
+            ..Default::default()
+        },
     );
     server_orb
         .adapter()
@@ -218,7 +226,10 @@ fn introspection_endpoint_serves_all_four_resources() {
         spans.contains("\"operation\":\"echo\""),
         "spans must show the call: {spans}"
     );
-    assert!(spans.contains("\"traces\""), "spans body: {spans}");
+    assert!(
+        spans.matches("\"wire_out_us\":").count() > spans.matches("\"wire_out_us\":null").count(),
+        "a record must carry the wire gaps: {spans}"
+    );
 
     let (status, flight) = http_get(addr, "/flight");
     assert_eq!(status, 200);

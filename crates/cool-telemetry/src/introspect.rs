@@ -5,7 +5,8 @@
 //! [`Registry`](crate::Registry):
 //!
 //! * `GET /metrics` — the existing Prometheus text render.
-//! * `GET /spans` — recent merged distributed traces (plus raw spans).
+//! * `GET /spans` — recent invocation records, traced ones with their
+//!   server stages and wire gaps.
 //! * `GET /flight` — the flight-recorder dump.
 //! * `GET /gauges?window=<ms>` — sampled gauge time series.
 //!
@@ -22,8 +23,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::sampler::{GaugeSampler, GaugeSeries, DEFAULT_SERIES_CAPACITY};
-use crate::span::render_spans_json;
-use crate::trace::render_traces_json;
+use crate::span::render_json;
 use crate::Registry;
 
 /// Default gauge sampling period.
@@ -126,12 +126,7 @@ fn serve_connection(mut stream: TcpStream, registry: &Registry, series: &Arc<Gau
             registry.render_prometheus(),
         ),
         "/spans" => {
-            let mut body = String::with_capacity(1024);
-            body.push_str("{\"spans\":");
-            body.push_str(&render_spans_json(&registry.recent_spans()));
-            body.push_str(",\"traces\":");
-            body.push_str(&render_traces_json(&registry.recent_traces()));
-            body.push('}');
+            let body = format!("{{\"spans\":{}}}", render_json(&registry.recent()));
             ("200 OK", "application/json", body)
         }
         "/flight" => ("200 OK", "application/json", registry.flight().to_json()),
@@ -214,6 +209,12 @@ mod tests {
         registry.counter("orb_invocations_total").add(3);
         registry.gauge("orb_dispatch_queue_depth").set(1.0);
         registry.flight_event("reconnect", None, "tcp");
+        let key = crate::InvocationKey {
+            binding: 1,
+            request_id: 1,
+        };
+        registry.begin(key, "echo", "tcp");
+        registry.finish(key, crate::SpanOutcome::Ok);
         let mut server = IntrospectServer::start(
             Arc::clone(&registry),
             "127.0.0.1:0",
@@ -228,8 +229,9 @@ mod tests {
 
         let (head, body) = get(addr, "/spans");
         assert!(head.starts_with("HTTP/1.1 200"));
-        assert!(body.starts_with("{\"spans\":["));
-        assert!(body.contains(",\"traces\":["));
+        assert!(body.starts_with("{\"spans\":[{"), "{body}");
+        assert!(body.contains("\"operation\":\"echo\""), "{body}");
+        assert!(body.ends_with("}]}"), "{body}");
 
         let (head, body) = get(addr, "/flight");
         assert!(head.starts_with("HTTP/1.1 200"));

@@ -111,10 +111,6 @@ pub mod rank {
     /// `ResourceManager`/`ResourceGrant` usage ledger — innermost; taken
     /// by admission and by every grant drop.
     pub const RESOURCE_USAGE: u32 = 70;
-    /// `TraceStore::inner` — merged distributed-trace store. Leaf: taken
-    /// with no other telemetry lock held, from code that may hold any of
-    /// the locks above.
-    pub const TELEMETRY_TRACES: u32 = 90;
     /// `FlightRecorder::inner` — bounded event ring. Leaf; events are
     /// recorded from arbitrary call sites, so it must sit below nothing.
     pub const TELEMETRY_FLIGHT: u32 = 92;

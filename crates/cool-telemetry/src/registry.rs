@@ -1,5 +1,5 @@
 //! The [`Registry`]: a process-wide (or per-ORB) table of named metrics
-//! plus the invocation-span store, with text/Prometheus/JSON exporters.
+//! plus the invocation-record store, with text/Prometheus/JSON exporters.
 //!
 //! Components resolve their metric handles once at construction time
 //! (`registry.counter("transport_frames_sent_total{kind=\"tcp\"}")`) and
@@ -16,8 +16,9 @@ use std::time::Duration;
 use crate::flight::FlightRecorder;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::names;
-use crate::span::{SpanOutcome, SpanRecord, SpanStore, Stage, STAGES};
-use crate::trace::{ClientTrace, ServerTraceTiming, TraceRecord, TraceStore};
+use crate::span::{
+    InvocationKey, InvocationRecord, InvocationStore, SpanOutcome, Stage, TraceMark, STAGES,
+};
 
 /// Locks `m`, recovering the data from a poisoned lock: telemetry must
 /// keep reporting even after a panic elsewhere, and every guarded value
@@ -26,30 +27,21 @@ fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Named-metric table + span store + distributed-trace store + flight
-/// recorder. Cheap to share via `Arc`.
+/// Named-metric table + invocation-record store + flight recorder. Cheap
+/// to share via `Arc`.
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    spans: SpanStore,
-    traces: TraceStore,
+    invocations: InvocationStore,
     flight: FlightRecorder,
 }
 
 impl Registry {
-    /// Creates an empty registry with the default recent-span ring.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// Creates a registry whose recent-span ring holds `ring` spans.
-    pub fn with_span_capacity(ring: usize) -> Self {
-        Registry {
-            spans: SpanStore::with_capacity(ring),
-            ..Registry::default()
-        }
     }
 
     /// Builds a labeled metric name: `labeled("x", &[("k", "v")])` →
@@ -101,67 +93,40 @@ impl Registry {
         )
     }
 
-    /// Opens an invocation span. See [`SpanStore::begin`].
-    pub fn span_begin(&self, request_id: u32, operation: &str, transport: &'static str) {
-        self.spans.begin(request_id, operation, transport);
+    /// Opens the invocation record for `key`. A record already open
+    /// under the same key is closed as `Cancelled` first.
+    pub fn begin(&self, key: InvocationKey, operation: &str, transport: &'static str) {
+        self.invocations.begin(key, operation, transport);
     }
 
-    /// Marks a stage complete on an active span. See [`SpanStore::mark`].
-    pub fn span_mark(&self, request_id: u32, stage: Stage, duration: Duration) {
-        self.spans.mark(request_id, stage, duration);
-    }
-
-    /// Marks a stage and stashes the server half of a distributed trace
-    /// (keyed to the reply's demux-arrival instant) in one lock
-    /// acquisition. See [`SpanStore::mark_reply`].
-    pub fn span_mark_reply(
+    /// Marks `stage` complete on the open record for `key`, `duration`
+    /// being the stage's own length. `trace` attaches the trace context
+    /// the request carries (with `Marshal`) or joins the server half the
+    /// reply echoed (with `ReplyDecode`). No-op for an unknown key.
+    pub fn mark(
         &self,
-        request_id: u32,
+        key: InvocationKey,
         stage: Stage,
         duration: Duration,
-        server_reply: Option<(ServerTraceTiming, std::time::Instant)>,
+        trace: Option<TraceMark>,
     ) {
-        self.spans.mark_reply(request_id, stage, duration, server_reply);
+        self.invocations.mark(key, stage, duration, trace);
     }
 
-    /// Marks a stage and attaches the client half of a distributed trace
-    /// in one lock acquisition. See [`SpanStore::mark_attach`].
-    pub fn span_mark_attach(
-        &self,
-        request_id: u32,
-        stage: Stage,
-        duration: Duration,
-        trace: Option<ClientTrace>,
-    ) {
-        self.spans.mark_attach(request_id, stage, duration, trace);
+    /// Closes the record for `key` and pushes it onto the recent ring.
+    /// Returns its total time in microseconds when the record was open.
+    pub fn finish(&self, key: InvocationKey, outcome: SpanOutcome) -> Option<u64> {
+        self.invocations.finish(key, outcome)
     }
 
-    /// Closes a span. Returns the total elapsed time when the span was
-    /// known. See [`SpanStore::finish`].
-    pub fn span_finish(&self, request_id: u32, outcome: SpanOutcome) -> Option<Duration> {
-        self.spans.finish(request_id, outcome)
+    /// Most recently finished invocation records, oldest first.
+    pub fn recent(&self) -> Vec<InvocationRecord> {
+        self.invocations.recent()
     }
 
-    /// Closes a span and, when the invocation carried a [`ClientTrace`],
-    /// merges the finished record with both trace halves into a
-    /// [`TraceRecord`] on the trace ring. Returns the span's total time in
-    /// microseconds. Untraced invocations never touch the trace store.
-    pub fn span_finish_traced(&self, request_id: u32, outcome: SpanOutcome) -> Option<u64> {
-        let (total_us, traced) = self.spans.finish_traced(request_id, outcome)?;
-        if let Some(tf) = traced {
-            self.traces.push_merged(tf.trace, tf.record, tf.server_reply);
-        }
-        Some(total_us)
-    }
-
-    /// Most recently merged distributed traces, oldest first.
-    pub fn recent_traces(&self) -> Vec<TraceRecord> {
-        self.traces.recent()
-    }
-
-    /// Direct access to the distributed-trace store.
-    pub fn traces(&self) -> &TraceStore {
-        &self.traces
+    /// Invocation records evicted from the recent ring because it was full.
+    pub fn dropped(&self) -> u64 {
+        self.invocations.dropped()
     }
 
     /// Records a flight-recorder event. See [`FlightRecorder::record`].
@@ -183,18 +148,8 @@ impl Registry {
             .collect()
     }
 
-    /// Most recently finished spans, oldest first.
-    pub fn recent_spans(&self) -> Vec<SpanRecord> {
-        self.spans.recent()
-    }
-
-    /// Direct access to the span store (tests, custom inspection).
-    pub fn spans(&self) -> &SpanStore {
-        &self.spans
-    }
-
-    /// Point-in-time copy of every metric, the recent-span ring and the
-    /// merged-trace ring. Overflow accounting of the bounded stores is
+    /// Point-in-time copy of every metric and the recent-record ring.
+    /// Overflow accounting of the bounded stores is
     /// synthesized in as counters (`spans_dropped_total`,
     /// `flight_events_dropped_total`) so it survives into every exporter.
     pub fn snapshot(&self) -> TelemetrySnapshot {
@@ -202,7 +157,10 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        counters.push(("spans_dropped_total".to_string(), self.spans.dropped()));
+        counters.push((
+            "spans_dropped_total".to_string(),
+            self.invocations.dropped(),
+        ));
         counters.push((
             names::FLIGHT_EVENTS_DROPPED_TOTAL.to_string(),
             self.flight.dropped(),
@@ -230,8 +188,7 @@ impl Registry {
             counters,
             gauges,
             histograms,
-            spans: self.spans.recent(),
-            traces: self.traces.recent(),
+            spans: self.invocations.recent(),
         }
     }
 
@@ -242,7 +199,8 @@ impl Registry {
     }
 
     /// Human-oriented multi-section dump: counters, gauges, histogram
-    /// percentiles, then the recent spans with per-stage timings.
+    /// percentiles, then the recent invocation records with per-stage
+    /// timings.
     pub fn render_text(&self) -> String {
         self.snapshot().render_text()
     }
@@ -254,7 +212,7 @@ impl std::fmt::Debug for Registry {
             .field("counters", &locked(&self.counters).len())
             .field("gauges", &locked(&self.gauges).len())
             .field("histograms", &locked(&self.histograms).len())
-            .field("spans", &self.spans)
+            .field("invocations", &self.invocations)
             .finish()
     }
 }
@@ -268,10 +226,8 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(String, f64)>,
     /// `(name, snapshot)` for every histogram.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Recent-span ring contents, oldest first.
-    pub spans: Vec<SpanRecord>,
-    /// Merged distributed traces, oldest first.
-    pub traces: Vec<TraceRecord>,
+    /// Recent invocation records, oldest first.
+    pub spans: Vec<InvocationRecord>,
 }
 
 impl TelemetrySnapshot {
@@ -343,38 +299,8 @@ impl TelemetrySnapshot {
                 h.max
             ));
         }
-        out.push_str("},\"spans\":[");
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"request_id\":{},\"operation\":\"{}\",\"transport\":\"{}\",\"outcome\":\"{}\",\"total_us\":{},\"stages\":{{",
-                span.request_id,
-                json_escape(&span.operation),
-                span.transport,
-                span.outcome.name(),
-                span.total_us
-            ));
-            let mut first = true;
-            for stage in STAGES {
-                if let Some(t) = span.stage(stage) {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!(
-                        "\"{}\":{{\"offset_us\":{},\"duration_us\":{}}}",
-                        stage.name(),
-                        t.offset_us,
-                        t.duration_us
-                    ));
-                }
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"traces\":");
-        out.push_str(&crate::trace::render_traces_json(&self.traces));
+        out.push_str("},\"spans\":");
+        out.push_str(&crate::span::render_json(&self.spans));
         out.push('}');
         out
     }
@@ -428,7 +354,7 @@ impl TelemetrySnapshot {
         for span in &self.spans {
             out.push_str(&format!(
                 "  #{} {} [{}] {} total={}µs\n",
-                span.request_id,
+                span.key.request_id,
                 span.operation,
                 span.transport,
                 span.outcome.name(),
@@ -537,9 +463,13 @@ mod tests {
         r.counter("frames_total{kind=\"tcp\"}").add(5);
         r.gauge("queue_depth").set(3.0);
         r.histogram("latency_us").record(100);
-        r.span_begin(1, "echo", "tcp");
-        r.span_mark(1, Stage::Marshal, Duration::from_micros(10));
-        r.span_finish(1, SpanOutcome::Ok);
+        let key = InvocationKey {
+            binding: 1,
+            request_id: 1,
+        };
+        r.begin(key, "echo", "tcp");
+        r.mark(key, Stage::Marshal, Duration::from_micros(10), None);
+        r.finish(key, SpanOutcome::Ok);
 
         let prom = r.render_prometheus();
         assert!(prom.contains("# TYPE frames_total counter"));

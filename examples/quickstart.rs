@@ -4,6 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use bytes::Bytes;
+use multe::naming::{DirectoryClient, DirectoryServer};
 use multe::orb::prelude::*;
 use multe::qos::{QoSSpec, Reliability};
 
@@ -62,12 +63,14 @@ fn main() -> Result<(), OrbError> {
     })?;
     println!("[client] async reply: {:?} bytes", rx.recv().unwrap()?);
 
-    // 4. Bootstrap via the naming service (itself an ORB object).
-    let naming_ref = NameServer::serve(&server_orb, &server)?;
-    let naming = NameClient::connect(&client_orb, &naming_ref)?;
-    naming.bind("services/echo", &reference)?;
-    let found = naming.resolve("services/echo")?;
-    let stub2 = client_orb.bind(&found)?;
+    // 4. Bootstrap via the naming service (itself an ORB object). A plain
+    //    name binding is a directory entry offering one best-effort rung;
+    //    a best-effort resolve is a plain lookup.
+    let naming_ref = DirectoryServer::serve(&server_orb, &server)?;
+    let naming = DirectoryClient::connect(&client_orb, &naming_ref)?;
+    naming.register("services/echo", &reference, &[QoSSpec::best_effort()])?;
+    let found = naming.resolve("services/echo", &QoSSpec::best_effort())?;
+    let stub2 = client_orb.bind(&found[0].reference)?;
     let reply = stub2.invoke("ping", Bytes::from_static(b"via naming"))?;
     println!(
         "[client] resolved through naming service: {} bytes",

@@ -141,7 +141,8 @@ cp "$thr_dir/BENCH_throughput.json" BENCH_throughput.json
 rm -rf "$thr_dir"
 
 # Trace-overhead smoke: end-to-end distributed tracing (request/reply
-# trace service contexts, merged TraceRecords on the client) must stay
+# trace service contexts, the server half joined into the client's
+# invocation records with both wire gaps) must stay
 # under 5% of the untraced loopback p99, and must actually have traced
 # every timed call — a silently disabled wire path would otherwise pass
 # the budget check for free. The bin gates on the best (minimum) of
@@ -173,6 +174,6 @@ rm -rf "$trace_dir"
 
 # Introspection smoke: with the endpoint enabled, /metrics, /spans,
 # /flight and /gauges must all respond over real HTTP, /spans must show
-# merged distributed traces, and shutdown must close the port. The bin
+# a record with wire gaps, and shutdown must close the port. The bin
 # exits non-zero on any miss.
 cargo run -q --release -p bench --bin introspect_smoke -- --quick
