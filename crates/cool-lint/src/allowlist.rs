@@ -1,10 +1,13 @@
-//! The checked-in allowlist (`lint-allow.txt` at the workspace root).
+//! The two exemption mechanisms, applied once after every rule has run.
 //!
-//! Format, one entry per line:
+//! Inline, for single sites: `// lint: allow(RULE, reason)` ([`inline_allows`]).
+//!
+//! Whole-file, in the checked-in allowlist (`lint-allow.txt` at the
+//! workspace root), one entry per line:
 //!
 //! ```text
 //! # comment
-//! crates/dacapo/src/runtime.rs L003 wake channel is drop-disconnected, bounded by module count
+//! crates/bench/src/lib.rs L002 measurement harness: a failed setup must abort the run
 //! ```
 //!
 //! An entry suppresses every finding of `RULE` in `path`. Entries are
@@ -12,14 +15,67 @@
 //! at most [`MAX_ENTRIES`], and entries that no longer suppress anything
 //! are themselves reported (rule `L000`) so the list cannot rot.
 
+use crate::lexer::Comment;
 use crate::report::Finding;
+use std::collections::{HashMap, HashSet};
+
+/// One file's inline exemptions: line -> rules allowed on it.
+pub type InlineAllows = HashMap<u32, Vec<String>>;
+
+/// Collects `// lint: allow(RULE, reason)` annotations. An annotation
+/// covers its own line and extends through any directly following allow
+/// lines to the first non-allow line, so it can sit on the offending
+/// line, immediately above it, or stacked with other allows above it (one
+/// site often needs both an L- and an A-rule exemption). The reason is
+/// mandatory: a bare `allow(RULE)` suppresses nothing.
+pub fn inline_allows(comments: &[Comment]) -> InlineAllows {
+    let mut at_line: Vec<(u32, String)> = Vec::new();
+    for c in comments {
+        let text = c.text.trim();
+        let Some(rest) = text.strip_prefix("lint:").map(str::trim) else {
+            continue;
+        };
+        let Some(args) = rest
+            .strip_prefix("allow(")
+            .and_then(|a| a.split(')').next())
+        else {
+            continue;
+        };
+        let Some((rule, reason)) = args.split_once(',') else {
+            continue;
+        };
+        if reason.trim().is_empty() {
+            continue;
+        }
+        at_line.push((c.line, rule.trim().to_owned()));
+    }
+    let allow_lines: HashSet<u32> = at_line.iter().map(|&(l, _)| l).collect();
+    let mut map = InlineAllows::new();
+    for (line, rule) in at_line {
+        let mut end = line + 1;
+        while allow_lines.contains(&end) {
+            end += 1;
+        }
+        for l in line..=end {
+            map.entry(l).or_default().push(rule.clone());
+        }
+    }
+    map
+}
+
+/// True when an inline annotation in the finding's file covers it.
+pub fn inline_allowed(allows: &InlineAllows, f: &Finding) -> bool {
+    allows
+        .get(&f.line)
+        .is_some_and(|rules| rules.iter().any(|r| r == f.rule))
+}
 
 /// Hard cap on allowlist size; beyond this the build fails.
 pub const MAX_ENTRIES: usize = 25;
 
 /// Per-namespace cap: at most this many entries whose rule shares a
-/// leading letter (`L*` = cool-lint, `A*` = cool-analyze), so one tool's
-/// exemptions cannot crowd out the other's budget.
+/// leading letter (`L*` token rules, `A*` semantic rules), so one rule
+/// family's exemptions cannot crowd out the other's budget.
 pub const MAX_PER_NAMESPACE: usize = 15;
 
 /// One parsed allowlist entry.

@@ -1,10 +1,21 @@
-//! cool-lint: project-invariant static analysis for the MULTE workspace.
+//! cool-lint: the static checker for the MULTE workspace.
 //!
-//! The binary (`cargo run -p cool-lint`) lexes every `.rs` file in the
-//! workspace and enforces the L001–L006 rule set described in
-//! [`rules`]; findings print as `file:line RULE message` and are also
-//! written as JSON. See DESIGN.md §7 for the rule catalogue and the
-//! exemption workflow.
+//! The binary (`cargo run -p cool-lint`) lexes every `.rs` file once and
+//! feeds the same token scan to two rule families:
+//!
+//! - the token-level L-rules in [`rules`]: sleep polling, unwrap policy,
+//!   GIOP version agreement, error-variant test coverage, retry loops and
+//!   buffer copies;
+//! - the whole-workspace A-rules in [`semantic`], which lift the scans
+//!   into a fact base ([`parse`], [`facts`]) and an intra-crate call graph
+//!   ([`callgraph`]) to prove lock ranks, hang-freedom, channel topology,
+//!   state-machine tables and error attribution.
+//!
+//! Exemptions are applied once, after every rule has run: inline
+//! `// lint: allow(RULE, reason)` annotations, then the checked-in
+//! `lint-allow.txt` ([`allowlist`]). Findings print as
+//! `file:line RULE message` and are also written as `cool-report/v1` JSON
+//! and optionally SARIF ([`report`]). See DESIGN.md §7.1.
 //!
 //! The crate has zero dependencies — it must stay buildable before
 //! anything else in the workspace (including the vendored shims it
@@ -14,19 +25,29 @@
 #![forbid(unsafe_code)]
 
 pub mod allowlist;
+pub mod callgraph;
+pub mod facts;
 pub mod lexer;
-pub mod ratchet;
+pub mod parse;
 pub mod report;
 pub mod rules;
+pub mod semantic;
 
 use report::{Finding, Report};
 use rules::VersionSite;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Name of the checked-in allowlist at the workspace root.
 pub const ALLOWLIST_FILE: &str = "lint-allow.txt";
+
+/// Every rule the checker can emit. L003 (unbounded data-path channels)
+/// was folded into A005, which flags the same sites.
+pub const RULES: &[&str] = &[
+    "L000", "L001", "L002", "L004", "L005", "L006", "L007", "A001", "A002", "A003", "A004", "A005",
+    "A006", "A007", "A008", "A009", "A010",
+];
 
 /// Directories never descended into. `shims/` holds vendored stand-ins
 /// for crates.io dependencies — third-party API surface, not our code —
@@ -66,17 +87,20 @@ fn rel(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Lints the workspace rooted at `root`: per-file rules over every `.rs`
-/// file, the L004/L005 cross-artifact checks, then the allowlist.
-pub fn lint_workspace(root: &Path) -> Result<Report, String> {
+/// Checks the workspace rooted at `root`: one lexing pass feeding the
+/// per-file L-rules and the parser, the L004/L005 cross-artifact checks,
+/// the A-rules over the fact base and call graph, then the inline
+/// annotations and the allowlist, each applied once to every finding.
+pub fn check_workspace(root: &Path) -> Result<Report, String> {
     let mut report = Report::default();
-    let mut raw_findings: Vec<Finding> = Vec::new();
+    let mut raw: Vec<Finding> = Vec::new();
 
     let mut truth_standard: Option<VersionSite> = None;
     let mut truth_qos: Option<VersionSite> = None;
     let mut codegen_sites: Vec<VersionSite> = Vec::new();
     let mut orb_error_decl: Option<(String, Vec<rules::Variant>)> = None;
     let mut orb_error_used: HashSet<String> = HashSet::new();
+    let mut parsed = Vec::new();
 
     for path in collect_files(root, ".rs")? {
         let rel_path = rel(root, &path);
@@ -85,7 +109,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         let scan = lexer::scan(&src);
         report.files_scanned += 1;
 
-        raw_findings.extend(rules::check_file(&rel_path, &scan));
+        raw.extend(rules::check_file(&rel_path, &scan));
 
         if rel_path == "crates/cool-giop/src/version.rs" {
             let (s, q) = rules::giop_versions(&rel_path, &scan);
@@ -101,6 +125,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             orb_error_decl = Some((rel_path.clone(), rules::orb_error_variants(&scan)));
         }
         orb_error_used.extend(rules::orb_error_uses(&rel_path, &scan));
+        parsed.push(parse::parse_file(&rel_path, &scan));
     }
 
     let mut idl_sites: Vec<(String, VersionSite)> = Vec::new();
@@ -113,33 +138,46 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             idl_sites.extend(rules::idl_versions(&rel_path, &text));
         }
     }
-    raw_findings.extend(rules::check_l004(
+    raw.extend(rules::check_l004(
         truth_standard.as_ref(),
         truth_qos.as_ref(),
         &codegen_sites,
         &idl_sites,
     ));
-
     if let Some((decl_path, variants)) = &orb_error_decl {
-        raw_findings.extend(rules::check_l005(decl_path, variants, &orb_error_used));
+        raw.extend(rules::check_l005(decl_path, variants, &orb_error_used));
     }
 
-    // Apply the checked-in allowlist last, so it can suppress anything the
-    // inline annotations did not. The file is shared with cool-analyze:
-    // each tool considers only the entries for its own rule namespace
-    // (L* here, A* there), so an analyzer exemption is not "unused" to the
-    // linter and vice versa.
+    let design = fs::read_to_string(root.join("DESIGN.md")).ok();
+    let ws = facts::Workspace::build(parsed);
+    let graph = callgraph::Graph::build(&ws);
+    raw.extend(semantic::run_all(&semantic::Ctx {
+        ws: &ws,
+        graph: &graph,
+        design: design.as_deref(),
+    }));
+
+    let allows: HashMap<&str, &allowlist::InlineAllows> = ws
+        .files
+        .iter()
+        .map(|f| (f.rel.as_str(), &f.allows))
+        .collect();
+    raw.retain(|f| {
+        !allows
+            .get(f.file.as_str())
+            .is_some_and(|a| allowlist::inline_allowed(a, f))
+    });
+
     let allow_path = root.join(ALLOWLIST_FILE);
-    let mut allowlist = if allow_path.is_file() {
+    let allowlist = if allow_path.is_file() {
         let text = fs::read_to_string(&allow_path)
             .map_err(|e| format!("read {}: {e}", allow_path.display()))?;
         allowlist::parse(ALLOWLIST_FILE, &text)
     } else {
         allowlist::Allowlist::default()
     };
-    allowlist.entries.retain(|e| e.rule.starts_with('L'));
     let mut used = vec![false; allowlist.entries.len()];
-    let (kept, suppressed) = allowlist.apply(raw_findings, &mut used);
+    let (kept, suppressed) = allowlist.apply(raw, &mut used);
     report.findings = kept;
     report.allowlisted = suppressed;
     report

@@ -1,70 +1,54 @@
 //! The cool-lint binary.
 //!
 //! ```text
-//! cargo run -q --release -p cool-lint [WORKSPACE_ROOT] [--json-out FILE]
-//!     [--ratchet BASELINE] [--sarif-out FILE]
+//! cargo run -q --release -p cool-lint [WORKSPACE_ROOT] [--json-out FILE] [--sarif-out FILE]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings, 2 I/O or usage error. The JSON report
-//! defaults to `lint-report.json` at the workspace root. With `--ratchet`
-//! the gate compares against a checked-in `cool-report/v1` baseline and
-//! fails only on *new* findings (or stale baseline entries, so the
-//! baseline only shrinks); `--sarif-out` additionally writes SARIF 2.1.0
-//! for GitHub PR annotations.
+//! Runs every L- and A-rule and prints the findings. The `cool-report/v1`
+//! JSON report defaults to `lint-report.json` at the workspace root;
+//! `--sarif-out` also writes SARIF 2.1.0 for GitHub PR annotations. Exit
+//! codes: 0 clean, 1 findings, 2 I/O or usage error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: cool-lint [WORKSPACE_ROOT] [--json-out FILE] [--sarif-out FILE]";
+
 fn main() -> ExitCode {
     let mut root_arg: Option<String> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut ratchet_file: Option<PathBuf> = None;
     let mut sarif_out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json-out" => match args.next() {
-                Some(p) => json_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("cool-lint: --json-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--ratchet" => match args.next() {
-                Some(p) => ratchet_file = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("cool-lint: --ratchet needs a baseline path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--sarif-out" => match args.next() {
-                Some(p) => sarif_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("cool-lint: --sarif-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
+        let slot = match arg.as_str() {
+            "--json-out" => &mut json_out,
+            "--sarif-out" => &mut sarif_out,
             "--help" | "-h" => {
-                println!(
-                    "usage: cool-lint [WORKSPACE_ROOT] [--json-out FILE] \
-                     [--ratchet BASELINE] [--sarif-out FILE]"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other if root_arg.is_none() && !other.starts_with('-') => {
                 root_arg = Some(other.to_owned());
+                continue;
             }
             other => {
-                eprintln!("cool-lint: unknown argument `{other}`");
+                eprintln!("cool-lint: unknown argument `{other}`\n{USAGE}");
+                return ExitCode::from(2);
+            }
+        };
+        match args.next() {
+            Some(p) => *slot = Some(PathBuf::from(p)),
+            None => {
+                eprintln!("cool-lint: {arg} needs a path");
                 return ExitCode::from(2);
             }
         }
     }
 
     let root = cool_lint::workspace_root(root_arg.as_deref());
-    let report = match cool_lint::lint_workspace(&root) {
+    let report = match cool_lint::check_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cool-lint: {e}");
@@ -75,40 +59,15 @@ fn main() -> ExitCode {
     print!("{}", report.render_text());
 
     let json_path = json_out.unwrap_or_else(|| root.join("lint-report.json"));
-    if let Err(e) = std::fs::write(&json_path, report.render_json()) {
-        eprintln!("cool-lint: write {}: {e}", json_path.display());
-        return ExitCode::from(2);
-    }
+    let mut outputs = vec![(json_path, report.render_json())];
     if let Some(path) = sarif_out {
-        let sarif = cool_lint::ratchet::render_sarif(&report, "cool-lint");
-        if let Err(e) = std::fs::write(&path, sarif) {
+        outputs.push((path, report.render_sarif()));
+    }
+    for (path, doc) in outputs {
+        if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("cool-lint: write {}: {e}", path.display());
             return ExitCode::from(2);
         }
-    }
-
-    if let Some(path) = ratchet_file {
-        let doc = match std::fs::read_to_string(&path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("cool-lint: read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match cool_lint::ratchet::parse_baseline(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cool-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let gate = cool_lint::ratchet::ratchet(&report, &baseline);
-        print!("{}", gate.render_text("cool-lint"));
-        return if gate.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
     }
 
     if report.is_clean() {

@@ -1,6 +1,10 @@
-//! Findings and report rendering: `file:line RULE message` text plus a
-//! hand-rolled machine-readable JSON document (the crate is dependency-free
-//! by design, so no serde).
+//! Findings and report rendering: `file:line RULE message` text, the
+//! `cool-report/v1` JSON document and a SARIF 2.1.0 subset for PR
+//! annotations, all hand-rolled (the crate is dependency-free by design,
+//! so no serde).
+
+/// The tool label every rendering carries.
+pub const TOOL: &str = "cool-lint";
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -9,7 +13,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`L001`..`L005`, or `L000` for lint-infrastructure issues).
+    /// Rule id (`L001`..`L007`, `A001`..`A010`, or `L000` for problems with
+    /// the checker's own configuration).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -56,19 +61,13 @@ impl Report {
 
     /// Human-readable report.
     pub fn render_text(&self) -> String {
-        self.render_text_as("cool-lint")
-    }
-
-    /// Human-readable report with an explicit tool label in the summary
-    /// line (cool-analyze shares this report type and format).
-    pub fn render_text_as(&self, tool: &str) -> String {
         let mut out = String::new();
         for f in &self.findings {
             out.push_str(&f.render());
             out.push('\n');
         }
         out.push_str(&format!(
-            "{tool}: {} finding(s), {} allowlisted, {} file(s) scanned\n",
+            "{TOOL}: {} finding(s), {} allowlisted, {} file(s) scanned\n",
             self.findings.len(),
             self.allowlisted,
             self.files_scanned
@@ -76,19 +75,12 @@ impl Report {
         out
     }
 
-    /// Machine-readable report with the default tool label.
+    /// Machine-readable report (stable key order), schema
+    /// `cool-report/v1`. A golden-file test pins the byte-exact shape.
     pub fn render_json(&self) -> String {
-        self.render_json_as("cool-lint")
-    }
-
-    /// Machine-readable report (stable key order). The schema —
-    /// `cool-report/v1` — is shared verbatim by cool-lint and
-    /// cool-analyze: same keys, same order, only the `tool` label
-    /// differs. A golden-file test pins the byte-exact shape.
-    pub fn render_json_as(&self, tool: &str) -> String {
         let mut out = format!(
             "{{\n  \"tool\": {},\n  \"schema\": \"cool-report/v1\",\n  \"findings\": [",
-            json_str(tool)
+            json_str(TOOL)
         );
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
@@ -111,6 +103,51 @@ impl Report {
             self.files_scanned,
             self.is_clean()
         ));
+        out
+    }
+
+    /// The minimal SARIF 2.1.0 subset GitHub code scanning ingests for PR
+    /// annotations at `file:line`: one run, one driver declaring every
+    /// distinct rule id, one `result` per finding. Stable key order.
+    pub fn render_sarif(&self) -> String {
+        let mut rules: Vec<&str> = self.findings.iter().map(|f| f.rule).collect();
+        rules.sort_unstable();
+        rules.dedup();
+        let mut out = String::from(
+            "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
+             \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
+             \"driver\": {\n",
+        );
+        out.push_str(&format!("          \"name\": {},\n", json_str(TOOL)));
+        out.push_str("          \"rules\": [");
+        for (i, r) in rules.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\n            {{\"id\": {}}}", json_str(r)));
+        }
+        if !rules.is_empty() {
+            out.push_str("\n          ");
+        }
+        out.push_str("]\n        }\n      },\n      \"results\": [");
+        for (i, f) in self.findings.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "\n        {{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": \
+                 {}}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
+                 {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
+                json_str(f.rule),
+                json_str(&f.message),
+                json_str(&f.file),
+                f.line.max(1)
+            ));
+        }
+        if !self.findings.is_empty() {
+            out.push_str("\n      ");
+        }
+        out.push_str("]\n    }\n  ]\n}\n");
         out
     }
 }
@@ -160,5 +197,24 @@ mod tests {
         let r = Report::default();
         assert!(r.is_clean());
         assert!(r.render_json().contains("\"clean\": true"));
+        assert!(r.render_sarif().contains("\"results\": []"));
+    }
+
+    #[test]
+    fn sarif_has_the_subset_github_ingests() {
+        let mut r = Report::default();
+        r.findings.push(Finding::new("a.rs", 3, "A008", "msg"));
+        let s = r.render_sarif();
+        for needle in [
+            "\"version\": \"2.1.0\"",
+            "\"name\": \"cool-lint\"",
+            "{\"id\": \"A008\"}",
+            "\"ruleId\": \"A008\"",
+            "\"uri\": \"a.rs\"",
+            "\"startLine\": 3",
+            "\"level\": \"error\"",
+        ] {
+            assert!(s.contains(needle), "missing {needle} in {s}");
+        }
     }
 }

@@ -1,31 +1,31 @@
-//! The rule set.
+//! The token-level L-rules.
 //!
 //! | Rule | Invariant                                                        |
 //! |------|------------------------------------------------------------------|
 //! | L001 | no `thread::sleep` polling in non-test library code              |
 //! | L002 | no `.unwrap()` / `.expect()` in non-test, non-bench library code |
-//! | L003 | no unbounded channels in the ORB / Da CaPo data path             |
 //! | L004 | GIOP version constants agree across cool-giop, chic and the IDL  |
 //! | L005 | every `OrbError` variant is exercised somewhere in tests         |
 //! | L006 | invocation-path retry loops in cool-orb reference `RetryPolicy`  |
 //! | L007 | no buffer copies (`.to_vec()`/`.clone()`) on the zero-copy path  |
 //!
-//! L001–L003, L006 and L007 are per-file token scans; L004/L005 are
-//! workspace-level
-//! cross-artifact checks. Findings can be suppressed inline with
-//! `// lint: allow(RULE, reason)` on the same or preceding line — the
-//! reason is mandatory, an annotation without one does not suppress.
+//! L001, L002, L006 and L007 are per-file token scans; L004/L005 are
+//! workspace-level cross-artifact checks. (L003, unbounded data-path
+//! channels, is A005's first check.) Rules report raw findings; inline
+//! `// lint: allow(RULE, reason)` annotations are applied afterwards, once
+//! for every rule (see [`crate::allowlist`]).
 
-use crate::lexer::{Comment, Scan, Tok, TokKind};
+use crate::lexer::{Scan, Tok, TokKind};
+use crate::parse::match_close;
 use crate::report::Finding;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// How a file participates in linting, derived from its workspace path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileRole {
     /// Library source: all rules apply outside `#[cfg(test)]` regions.
     LibSrc,
-    /// Integration tests, benches, examples: exempt from L001–L003 but
+    /// Integration tests, benches, examples: exempt from L001/L002 but
     /// scanned for L005 usage.
     TestLike,
 }
@@ -41,13 +41,13 @@ pub fn classify(rel_path: &str) -> FileRole {
     FileRole::LibSrc
 }
 
-/// True for files on the ORB / Da CaPo data path, where L003 applies.
+/// True for files on the ORB / Da CaPo data path (A005, A008).
 pub fn on_data_path(rel_path: &str) -> bool {
     rel_path.starts_with("crates/cool-orb/src/") || rel_path.starts_with("crates/dacapo/src/")
 }
 
 /// True for files on the zero-copy buffer path, where L007 applies: the
-/// L003 data path plus the GIOP codec (whose frames feed it).
+/// data path plus the GIOP codec (whose frames feed it).
 pub fn on_buffer_path(rel_path: &str) -> bool {
     rel_path.starts_with("crates/cool-giop/src/") || on_data_path(rel_path)
 }
@@ -139,93 +139,17 @@ pub fn test_regions(tokens: &[Tok]) -> Vec<(u32, u32)> {
     regions
 }
 
-fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
+pub(crate) fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
     regions.iter().any(|&(a, b)| line >= a && line <= b)
 }
 
-/// Inline exemptions: `// lint: allow(RULE, reason)`. The annotation
-/// covers its own line and extends through any directly following allow
-/// lines to the first non-allow line — so it can sit on the offending
-/// line, immediately above it, or stacked with other allows above it
-/// (one site often needs both an L- and an A-rule exemption). Returns
-/// line -> allowed rules.
-pub fn inline_allows(comments: &[Comment]) -> HashMap<u32, Vec<String>> {
-    let mut at_line: Vec<(u32, String)> = Vec::new();
-    for c in comments {
-        let text = c.text.trim();
-        let Some(rest) = text.strip_prefix("lint:").map(str::trim) else {
-            continue;
-        };
-        let Some(args) = rest
-            .strip_prefix("allow(")
-            .and_then(|a| a.split(')').next())
-        else {
-            continue;
-        };
-        let Some((rule, reason)) = args.split_once(',') else {
-            continue; // reason is mandatory; bare allow(RULE) does nothing
-        };
-        if reason.trim().is_empty() {
-            continue;
-        }
-        at_line.push((c.line, rule.trim().to_owned()));
-    }
-    let allow_lines: HashSet<u32> = at_line.iter().map(|&(l, _)| l).collect();
-    let mut map: HashMap<u32, Vec<String>> = HashMap::new();
-    for (line, rule) in at_line {
-        let mut end = line + 1;
-        while allow_lines.contains(&end) {
-            end += 1;
-        }
-        for l in line..=end {
-            map.entry(l).or_default().push(rule.clone());
-        }
-    }
-    map
-}
-
-fn allowed(allows: &HashMap<u32, Vec<String>>, line: u32, rule: &str) -> bool {
-    allows
-        .get(&line)
-        .map(|rules| rules.iter().any(|r| r == rule))
-        .unwrap_or(false)
-}
-
-/// Runs the per-file rules (L001–L003) over one scanned file.
-/// Whether the tokens from `j` form a call: `(` directly, or a turbofish
-/// `:: < .. > (` first.
-fn is_called(toks: &[Tok], j: usize) -> bool {
-    let mut j = j;
-    if j + 2 < toks.len() && toks[j].text == ":" && toks[j + 1].text == ":" && toks[j + 2].text == "<"
-    {
-        let mut depth = 0usize;
-        j += 2;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "<" => depth += 1,
-                ">" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                ">>" => depth = depth.saturating_sub(2),
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    j < toks.len() && toks[j].text == "("
-}
-
+/// Runs the per-file rules (L001, L002, L006, L007) over one scanned file.
 pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
     let mut findings = Vec::new();
     if classify(rel_path) == FileRole::TestLike {
         return findings;
     }
     let regions = test_regions(&scan.tokens);
-    let allows = inline_allows(&scan.comments);
     let toks = &scan.tokens;
 
     for i in 0..toks.len() {
@@ -238,7 +162,7 @@ pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
             && toks[i + 3].text == "sleep"
         {
             let line = toks[i + 3].line;
-            if !in_regions(line, &regions) && !allowed(&allows, line, "L001") {
+            if !in_regions(line, &regions) {
                 findings.push(Finding::new(
                     rel_path,
                     line,
@@ -257,7 +181,7 @@ pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
             && toks[i + 2].text == "("
         {
             let line = toks[i + 1].line;
-            if !in_regions(line, &regions) && !allowed(&allows, line, "L002") {
+            if !in_regions(line, &regions) {
                 findings.push(Finding::new(
                     rel_path,
                     line,
@@ -284,7 +208,7 @@ pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
             && toks[i + 3].text == "("
         {
             let line = toks[i + 2].line;
-            if !in_regions(line, &regions) && !allowed(&allows, line, "L007") {
+            if !in_regions(line, &regions) {
                 findings.push(Finding::new(
                     rel_path,
                     line,
@@ -300,28 +224,9 @@ pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
                 ));
             }
         }
-        // L003: `unbounded (` on the data path — with an optional
-        // turbofish (`unbounded::<T>()`) between name and call.
-        if on_data_path(rel_path)
-            && toks[i].kind == TokKind::Ident
-            && toks[i].text == "unbounded"
-            && is_called(toks, i + 1)
-        {
-            let line = toks[i].line;
-            if !in_regions(line, &regions) && !allowed(&allows, line, "L003") {
-                findings.push(Finding::new(
-                    rel_path,
-                    line,
-                    "L003",
-                    "unbounded channel on the ORB/Da CaPo data path; use a bounded \
-                     queue with backpressure, or annotate `// lint: allow(L003, \
-                     reason)` with the deadlock-freedom argument",
-                ));
-            }
-        }
     }
     if rel_path.starts_with("crates/cool-orb/src/") {
-        findings.extend(check_l006(rel_path, toks, &regions, &allows));
+        findings.extend(check_l006(rel_path, toks, &regions));
     }
     findings
 }
@@ -341,12 +246,7 @@ const L006_CALLS: &[&str] = &["call", "send", "send_frame", "invoke"];
 /// `RetryPolicy` appearing anywhere between the enclosing `fn` and the end
 /// of the loop. Bare retry-forever loops are how calls hang instead of
 /// failing attributed.
-fn check_l006(
-    rel_path: &str,
-    toks: &[Tok],
-    regions: &[(u32, u32)],
-    allows: &HashMap<u32, Vec<String>>,
-) -> Vec<Finding> {
+fn check_l006(rel_path: &str, toks: &[Tok], regions: &[(u32, u32)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -360,30 +260,10 @@ fn check_l006(
         // Body extent: first `{` after the keyword to its matching `}`.
         // (A `while let` pattern brace would end the scan early — a
         // conservative under-approximation this codebase never hits.)
-        let mut j = i + 1;
-        while j < toks.len() && toks[j].text != "{" {
-            j += 1;
-        }
-        if j >= toks.len() {
+        let Some(body_start) = (i + 1..toks.len()).find(|&j| toks[j].text == "{") else {
             continue;
-        }
-        let body_start = j;
-        let mut depth = 0usize;
-        let mut body_end = j;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        body_end = j;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        };
+        let body_end = match_close(toks, body_start);
         let is_retry_call = (body_start..body_end).any(|k| {
             toks[k].text == "."
                 && k + 2 < toks.len()
@@ -401,7 +281,7 @@ fn check_l006(
         let governed = toks[fn_start..=body_end]
             .iter()
             .any(|t| t.kind == TokKind::Ident && t.text == "RetryPolicy");
-        if governed || allowed(allows, line, "L006") {
+        if governed {
             continue;
         }
         findings.push(Finding::new(
@@ -790,50 +670,6 @@ mod tests {
     use crate::lexer::scan;
 
     #[test]
-    fn l001_flags_sleep_and_respects_allow() {
-        let src = "fn f() { std::thread::sleep(d); }";
-        let f = check_file("crates/x/src/lib.rs", &scan(src));
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "L001");
-
-        let allowed = "fn f() {\n    // lint: allow(L001, fixed-rate sampler)\n    std::thread::sleep(d);\n}";
-        assert!(check_file("crates/x/src/lib.rs", &scan(allowed)).is_empty());
-
-        // A reason is mandatory: a bare allow() must not suppress.
-        let bare = "fn f() {\n    // lint: allow(L001)\n    std::thread::sleep(d);\n}";
-        assert_eq!(check_file("crates/x/src/lib.rs", &scan(bare)).len(), 1);
-    }
-
-    #[test]
-    fn stacked_allows_cover_the_site_below_the_stack() {
-        // Two allow lines above one site: both rules must reach line 4.
-        let src = "fn f() {\n    // lint: allow(A005, drained by flusher)\n    \
-                   // lint: allow(L001, fixed-rate sampler)\n    std::thread::sleep(d);\n}";
-        let allows = inline_allows(&scan(src).comments);
-        let at = |line: u32| allows.get(&line).cloned().unwrap_or_default();
-        assert!(at(4).contains(&"A005".to_string()), "stacked rule reaches the site");
-        assert!(at(4).contains(&"L001".to_string()));
-        assert!(at(5).is_empty(), "coverage stops at the first non-allow line");
-        assert!(check_file("crates/x/src/lib.rs", &scan(src)).is_empty());
-    }
-
-    #[test]
-    fn l002_flags_unwrap_expect_but_not_unwrap_or() {
-        let src = "fn f() { a.unwrap(); b.expect(\"msg\"); c.unwrap_or(0); d.unwrap_or_else(g); }";
-        let f = check_file("crates/x/src/lib.rs", &scan(src));
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|x| x.rule == "L002"));
-    }
-
-    #[test]
-    fn cfg_test_regions_are_exempt() {
-        let src = "fn f() { a.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn g() { b.unwrap(); std::thread::sleep(d); }\n}";
-        let f = check_file("crates/x/src/lib.rs", &scan(src));
-        assert_eq!(f.len(), 1, "only the library-code unwrap fires");
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
     fn cfg_not_test_is_not_a_test_region() {
         let src = "#[cfg(not(test))]\nfn f() { a.unwrap(); }";
         let f = check_file("crates/x/src/lib.rs", &scan(src));
@@ -846,87 +682,5 @@ mod tests {
         assert!(check_file("crates/x/tests/e2e.rs", &scan(src)).is_empty());
         assert!(check_file("crates/x/benches/bench.rs", &scan(src)).is_empty());
         assert!(check_file("examples/demo.rs", &scan(src)).is_empty());
-    }
-
-    #[test]
-    fn l003_only_on_data_path() {
-        let src = "fn f() { let (tx, rx) = channel::unbounded(); }";
-        assert_eq!(
-            check_file("crates/cool-orb/src/exchange.rs", &scan(src)).len(),
-            1
-        );
-        assert!(check_file("crates/netsim/src/lib.rs", &scan(src)).is_empty());
-    }
-
-    #[test]
-    fn l007_flags_buffer_copies_only_on_the_buffer_path() {
-        let src = "fn f(frame: Bytes) { let v = frame.to_vec(); let c = frame.clone(); }";
-        let f = check_file("crates/dacapo/src/runtime.rs", &scan(src));
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|x| x.rule == "L007"));
-        // cool-giop is on the buffer path too.
-        assert_eq!(check_file("crates/cool-giop/src/codec.rs", &scan(src)).len(), 2);
-        // Off the buffer path, or with a non-buffer receiver, nothing fires.
-        assert!(check_file("crates/netsim/src/lib.rs", &scan(src)).is_empty());
-        let other = "fn f(config: Config) { let c = config.clone(); }";
-        assert!(check_file("crates/dacapo/src/runtime.rs", &scan(other)).is_empty());
-    }
-
-    #[test]
-    fn l007_respects_inline_allow_and_test_regions() {
-        let allowed = "fn f(pkt: Packet) {\n    // lint: allow(L007, retransmit buffer must own its copy)\n    let c = pkt.clone();\n}";
-        assert!(check_file("crates/dacapo/src/modules/arq.rs", &scan(allowed)).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn g(body: Bytes) { let v = body.to_vec(); }\n}";
-        assert!(check_file("crates/cool-orb/src/binding.rs", &scan(in_test)).is_empty());
-    }
-
-    #[test]
-    fn l004_version_extraction_and_check() {
-        let version_rs = "pub const STANDARD: GiopVersion = GiopVersion { major: 1, minor: 0 };\n\
-                          pub const QOS_EXTENDED: GiopVersion = GiopVersion { major: 9, minor: 9 };";
-        let (s, q) = giop_versions("crates/cool-giop/src/version.rs", &scan(version_rs));
-        let (s, q) = (s.expect("standard"), q.expect("qos"));
-        assert_eq!((s.major, s.minor), (1, 0));
-        assert_eq!((q.major, q.minor), (9, 9));
-
-        let codegen_rs =
-            r#"fn emit(w: &mut W) { w.line("pub const QOS_GIOP_VERSION: (u8, u8) = (9, 9);"); }"#;
-        let sites = codegen_versions("crates/chic/src/codegen.rs", &scan(codegen_rs));
-        assert_eq!(sites.len(), 1);
-        assert!(check_l004(Some(&s), Some(&q), &sites, &[]).is_empty());
-
-        let bad = r#"fn emit(w: &mut W) { w.line("pub const QOS_GIOP_VERSION: (u8, u8) = (2, 0);"); }"#;
-        let bad_sites = codegen_versions("crates/chic/src/codegen.rs", &scan(bad));
-        assert_eq!(check_l004(Some(&s), Some(&q), &bad_sites, &[]).len(), 1);
-
-        let idl = idl_versions("idl/media.idl", "// #pragma giop-versions: standard=1.0 qos=9.9");
-        assert_eq!(idl.len(), 2);
-        assert!(check_l004(Some(&s), Some(&q), &[], &idl).is_empty());
-
-        let idl_bad = idl_versions("idl/media.idl", "// #pragma giop-versions: qos=9.8");
-        assert_eq!(check_l004(Some(&s), Some(&q), &[], &idl_bad).len(), 1);
-    }
-
-    #[test]
-    fn l005_variant_extraction_and_coverage() {
-        let error_rs = "pub enum OrbError {\n    #[doc = \"x\"]\n    Closed,\n    Timeout { request_id: Option<u32>, elapsed: Duration },\n    Transport(String),\n}";
-        let vars = orb_error_variants(&scan(error_rs));
-        let names: Vec<&str> = vars.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Closed", "Timeout", "Transport"]);
-
-        let test_src = "fn t() { assert!(matches!(e, OrbError::Closed)); let _ = OrbError::Transport(s); }";
-        let mut uses = orb_error_uses("crates/cool-orb/tests/e2e.rs", &scan(test_src));
-        let f = check_l005("crates/cool-orb/src/error.rs", &vars, &uses);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("Timeout"));
-
-        uses.insert("Timeout".to_owned());
-        assert!(check_l005("crates/cool-orb/src/error.rs", &vars, &uses).is_empty());
-    }
-
-    #[test]
-    fn l005_ignores_uses_in_library_code() {
-        let src = "fn f() -> OrbError { OrbError::Closed }";
-        assert!(orb_error_uses("crates/cool-orb/src/orb.rs", &scan(src)).is_empty());
     }
 }

@@ -109,7 +109,6 @@ impl LocalExchange {
                 "chorus endpoint {name:?} already bound"
             )));
         }
-        // lint: allow(L003, acceptor queue: depth bounded by concurrent connect attempts and drained by the server accept loop)
         // lint: allow(A005, acceptor queue documented in §7.4: entries are connections not frames, paced by connect rate, drained by the accept loop)
         let (tx, rx) = unbounded();
         reg.chorus.insert(name.to_owned(), tx);
@@ -128,7 +127,6 @@ impl LocalExchange {
                 "dacapo endpoint {name:?} already bound"
             )));
         }
-        // lint: allow(L003, acceptor queue: depth bounded by concurrent connect attempts and drained by the server accept loop)
         // lint: allow(A005, acceptor queue documented in §7.4: entries are connections not frames, paced by connect rate, drained by the accept loop)
         let (tx, rx) = unbounded();
         reg.dacapo.insert(name.to_owned(), tx);

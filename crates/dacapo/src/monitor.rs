@@ -117,7 +117,6 @@ impl QosMonitor {
         // one event per sampling interval, so the queue depth is bounded
         // by how long the consumer ignores it — and an ignored monitor
         // should drop no alarms.
-        // lint: allow(L003, control-path event stream, rate-limited to one event per interval by hysteresis)
         // lint: allow(A005, §7.4: control-path event stream, hysteresis bounds it to one event per sampling interval)
         let (tx, rx) = unbounded();
         let flag = stop.clone();

@@ -390,7 +390,6 @@ pub fn build_stack(
     // disconnects the receivers and wakes every blocked select below. It
     // carries no data, its capacity is irrelevant, and nothing can queue
     // on it — boundedness is moot.
-    // lint: allow(L003, never-sent shutdown wake channel, disconnect-only)
     // lint: allow(A005, §7.4: never sent on — exists only so drop disconnects and wakes blocked selects)
     let (wake_tx, wake_rx) = unbounded::<()>();
     let mut wake_tx = Some(wake_tx);
@@ -416,7 +415,6 @@ pub fn build_stack(
     let mut up_tx = Vec::with_capacity(n + 1);
     let mut up_rx = Vec::with_capacity(n + 1);
     for _ in 0..=n {
-        // lint: allow(L003, up direction is wire-paced; bounded would risk send/send deadlock)
         // lint: allow(A005, §7.4: up direction is wire-paced and drained by the app endpoint; a bound risks send/send deadlock)
         let (tx, rx) = unbounded::<Packet>();
         queue_probes.push(tx.clone());

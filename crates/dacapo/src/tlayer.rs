@@ -131,10 +131,8 @@ pub struct LoopbackTransport {
 
 /// Creates a connected pair of loopback transports.
 pub fn loopback_pair() -> (LoopbackTransport, LoopbackTransport) {
-    // lint: allow(L003, loopback models an infinitely fast wire; a bound here would deadlock symmetric send/send peers)
     // lint: allow(A005, §7.4: loopback wire, drained by peer recv and paced by the sending protocol stack)
     let (a_tx, b_rx) = unbounded();
-    // lint: allow(L003, loopback models an infinitely fast wire; a bound here would deadlock symmetric send/send peers)
     // lint: allow(A005, §7.4: loopback wire, drained by peer recv and paced by the sending protocol stack)
     let (b_tx, a_rx) = unbounded();
     let a_wire: LoopbackWire = Arc::new(Mutex::new(Some(a_tx)));

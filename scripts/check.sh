@@ -12,27 +12,16 @@ cargo clippy --workspace -- -D warnings
 # tests so an API change cannot break the benchmark unseen.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
-# Project-invariant static analysis: poll loops, unwraps, unbounded data
-# paths, GIOP version agreement, error-variant test coverage. Exits
-# non-zero on any finding; the JSON report lands next to this gate's
-# other artifacts.
-cargo run -q --release -p cool-lint -- --json-out lint-report.json
-
-# Whole-workspace semantic analysis: static lock-rank verification against
-# the DESIGN.md §7.2 table, blocking-while-locked detection along the call
-# graph, codec symmetry in cool-giop, telemetry-name discipline, channel
-# topology + boundedness against the §7.4 table, condvar wait-graph
-# checks (notify reachability, predicate loops, no foreign lock across a
-# wait), spawn/join lifecycle on shutdown paths, hang-freedom (bounded
-# blocking vs the §8.5 drain registry), state-machine drift vs the §8.4
-# tables, and error-attribution discipline. Same exit/report conventions
-# as cool-lint; the gate is the ratchet against the checked-in baseline
-# (fails on any NEW finding, and on stale baseline entries so the
-# baseline only shrinks), with SARIF for PR annotations.
-cargo run -q --release -p cool-analyze -- \
-    --json-out analyze-report.json \
-    --sarif-out analyze-report.sarif \
-    --ratchet analyze-baseline.json
+# Static checks (cool-lint): per-file token rules (poll loops, unwraps,
+# GIOP version agreement, error-variant test coverage, retry loops,
+# buffer copies) and whole-workspace semantic rules (lock ranks vs the
+# DESIGN.md §7.2 table, blocking under a lock, codec symmetry, telemetry
+# names, channel topology vs the §7.4 table, condvar wait graph,
+# spawn/join lifecycle, hang-freedom vs the §8.5 drain registry,
+# state-machine drift vs the §8.4 tables, error attribution). Exits
+# non-zero on any finding; writes the JSON report and SARIF for PR
+# annotations.
+cargo run -q --release -p cool-lint -- --json-out lint-report.json --sarif-out lint-report.sarif
 
 # The paper's claims as gated shapes: Fig. 9 (40 dummy modules cost
 # little; IRQ flow control collapses throughput) and Table 1 (the GIOP 9.9

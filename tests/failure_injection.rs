@@ -299,7 +299,7 @@ fn many_concurrent_deferred_requests_demultiplex_correctly() {
 
 #[test]
 fn concurrent_server_close_never_deadlocks() {
-    // Regression for the teardown findings cool-analyze (A002) surfaced:
+    // Regression for the teardown findings the static checker (A002) surfaced:
     // `OrbServer::close` used to join the acceptor and dispatcher threads
     // while still holding the `server.acceptor` / `server.dispatchers`
     // handle locks, and wrote CloseConnection frames with `server.conns`
