@@ -11,16 +11,13 @@ use crate::error::OrbError;
 use crate::transport::{ComChannel, FrameInbox, FrameSink, InboxMetrics, SendMetrics};
 use bytes::Bytes;
 use cool_telemetry::Registry;
+use dacapo::tlayer::{read_frame, FRAME_READ_CHUNK, MAX_TCP_FRAME};
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Refuse frames larger than this (a corrupt length prefix would otherwise
-/// ask for an absurd allocation).
-const MAX_TCP_FRAME: u32 = 256 * 1024 * 1024;
 
 /// Upper bound on TCP connection establishment. A blackholed address (a
 /// dropped-SYN firewall, a dead replica that still resolves) would leave a
@@ -160,21 +157,10 @@ impl TcpComChannel {
 
 /// Blocks on the socket, pushing each completed frame into the inbox;
 /// closes the inbox on EOF, shutdown, or any framing/IO error.
-fn reader_loop(mut stream: TcpStream, inbox: &FrameInbox) {
-    loop {
-        let mut len_buf = [0u8; 4];
-        if stream.read_exact(&mut len_buf).is_err() {
-            break;
-        }
-        let len = u32::from_be_bytes(len_buf);
-        if len > MAX_TCP_FRAME {
-            break;
-        }
-        let mut payload = vec![0u8; len as usize];
-        if stream.read_exact(&mut payload).is_err() {
-            break;
-        }
-        inbox.push(Bytes::from(payload));
+fn reader_loop(stream: TcpStream, inbox: &FrameInbox) {
+    let mut stream = BufReader::with_capacity(FRAME_READ_CHUNK, stream);
+    while let Ok(frame) = read_frame(&mut stream) {
+        inbox.push(frame);
     }
     inbox.close();
 }

@@ -35,7 +35,10 @@ pub struct ArqModule {
     next_seq: u32,
     /// Sender: stamped, unacknowledged packets.
     window: BTreeMap<u32, Packet>,
-    /// Sender: ticks elapsed since the last forward progress.
+    /// Sender: ticks that found the window non-empty since the last ACK.
+    /// The runtime ticks on a fixed cadence whether or not packets are
+    /// flowing, so this counts timer periods without an acknowledgement,
+    /// never idle time or packets sent.
     ticks_without_progress: u32,
     /// Receiver: next in-order sequence expected.
     next_expected: u32,
@@ -304,6 +307,30 @@ mod tests {
         tx.on_tick(Duration::ZERO, &mut out); // 1 tick: below threshold
         assert!(out.take_down().is_empty());
         assert_eq!(tx.retransmissions(), 0);
+    }
+
+    #[test]
+    fn an_ack_between_ticks_restarts_the_count() {
+        let mut tx = ArqModule::go_back_n(4);
+        let mut rx = ArqModule::go_back_n(4);
+        let p0 = stamp(&mut tx, b"0");
+        let _p1 = stamp(&mut tx, b"1"); // stays unacknowledged
+        let mut out = Outputs::new();
+        for _ in 1..ArqModule::RETRANSMIT_TICKS {
+            tx.on_tick(Duration::ZERO, &mut out);
+        }
+        let (_, acks) = feed(&mut rx, p0);
+        feed(&mut tx, acks.into_iter().next().unwrap());
+        assert_eq!(tx.in_flight(), 1);
+        for _ in 1..ArqModule::RETRANSMIT_TICKS {
+            tx.on_tick(Duration::ZERO, &mut out);
+        }
+        assert!(
+            out.take_down().is_empty(),
+            "the ACK did not restart the count"
+        );
+        tx.on_tick(Duration::ZERO, &mut out);
+        assert_eq!(out.take_down().len(), 1, "p1 resent after a full timeout");
     }
 
     #[test]

@@ -115,6 +115,17 @@ impl QuiesceSignal {
         self.cv.notify_all();
     }
 
+    /// Publishes a module thread's idle state and pulses, under one lock:
+    /// a drainer that reads the new state also sees the pulse, so it
+    /// re-checks instead of trusting a snapshot taken while a packet moved
+    /// from one queue to the next.
+    fn settle(&self, idle: &AtomicBool, now_idle: bool) {
+        let mut generation = self.generation.lock();
+        idle.store(now_idle, Ordering::Release);
+        *generation += 1;
+        self.cv.notify_all();
+    }
+
     fn generation(&self) -> u64 {
         *self.generation.lock()
     }
@@ -254,8 +265,9 @@ impl StackHandle {
     }
 
     /// Whether every queue is empty and every module reports no deferred
-    /// state — i.e. all application traffic has reached the transport (or
-    /// the application) and no ARQ window is outstanding.
+    /// state and holds no packet — i.e. all application traffic has
+    /// reached the transport (or the application) and no ARQ window is
+    /// outstanding.
     pub fn is_quiescent(&self) -> bool {
         self.queue_probes.iter().all(|q| q.is_empty())
             && self.idle_flags.iter().all(|f| f.load(Ordering::Acquire))
@@ -272,9 +284,11 @@ impl StackHandle {
         loop {
             // Generation before the check: a pulse landing between the
             // check and the wait advances it, so the wait returns
-            // immediately rather than missing the wakeup.
+            // immediately rather than missing the wakeup. The same
+            // generation after the check proves no module moved a packet
+            // while the queues and flags were read one by one.
             let seen = self.quiesce.generation();
-            if self.is_quiescent() {
+            if self.is_quiescent() && self.quiesce.generation() == seen {
                 return true;
             }
             if !self.quiesce.wait_newer(seen, deadline) {
@@ -619,6 +633,10 @@ fn module_loop(
     telemetry: Option<ModuleTelemetry>,
 ) {
     let start = Instant::now();
+    // The protocol timer runs on its own deadline, so a steady stream of
+    // packets cannot postpone it: ARQ retransmission keeps its cadence
+    // under load, not only after a quiet interval.
+    let mut next_tick = start + tick_interval;
     let mut out = Outputs::new();
     let mut down_open = true;
     let mut up_open = true;
@@ -634,7 +652,8 @@ fn module_loop(
         // Select over the currently admissible inputs. The shutdown wake
         // receiver always participates, so a blocked module pops out of
         // this select the instant teardown starts; the timeout is purely
-        // the module's protocol timer (ARQ retransmission), never a poll.
+        // the module's protocol timer deadline (ARQ retransmission), never
+        // a poll.
         let take_down = down_open && module.ready_for_down();
         let mut sel = Select::new();
         let wake_idx = sel.recv(&wake);
@@ -650,7 +669,14 @@ fn module_loop(
         };
         let _ = down_idx;
 
-        match sel.select_timeout(tick_interval) {
+        let selected = sel.select_timeout(next_tick.saturating_duration_since(Instant::now()));
+        // A packet is about to leave its queue: mark the module busy
+        // first, so a drainer that sees the queue empty also sees the
+        // module holding it.
+        if matches!(&selected, Ok(op) if op.index() != wake_idx) {
+            idle.store(false, Ordering::Release);
+        }
+        match selected {
             Ok(op) if op.index() == wake_idx => {
                 // Disconnection of the wake channel signals shutdown; the
                 // flag check at the top of the loop handles it.
@@ -676,7 +702,12 @@ fn module_loop(
                 }
                 Err(_) => down_open = false,
             },
-            Err(_) => module.on_tick(start.elapsed(), &mut out),
+            Err(_) => {} // the tick deadline passed: handled below
+        }
+        let now = Instant::now();
+        if now >= next_tick {
+            module.on_tick(now - start, &mut out);
+            next_tick = now + tick_interval;
         }
         if let Some(t) = &telemetry {
             t.queue_depth.set((down_in.len() + up_in.len()) as f64);
@@ -684,7 +715,10 @@ fn module_loop(
 
         for pkt in out.take_down() {
             if down_out.send(pkt).is_err() {
-                return; // downstream gone: the stack is dead
+                // Downstream gone: the stack is dead. Put the busy flag
+                // back, or a drain would wait out its whole timeout.
+                quiesce.settle(&idle, module.is_idle());
+                return;
             }
         }
         for pkt in out.take_up() {
@@ -693,11 +727,10 @@ fn module_loop(
             // traffic can still drain.
             let _ = up_out.send(pkt);
         }
-        idle.store(module.is_idle(), Ordering::Release);
         // Each iteration is event-driven (select wakeup), so this pulse is
         // bounded by the event and tick rate — cheap, and it guarantees a
         // drainer re-checks after the final packet of a burst moves on.
-        quiesce.pulse();
+        quiesce.settle(&idle, module.is_idle());
     }
 }
 
@@ -1099,6 +1132,123 @@ mod tests {
             Err(DacapoError::Closed)
         ));
         b.shutdown();
+    }
+
+    /// Holds each packet going down until the test releases it, after
+    /// telling the test it has taken it.
+    struct HoldDown {
+        taken: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl Module for HoldDown {
+        fn name(&self) -> &str {
+            "hold-down"
+        }
+        fn process_down(&mut self, pkt: Packet, out: &mut Outputs) {
+            let _ = self.taken.send(());
+            let _ = self.release.recv();
+            out.push_down(pkt);
+        }
+        fn process_up(&mut self, pkt: Packet, out: &mut Outputs) {
+            out.push_up(pkt);
+        }
+    }
+
+    #[test]
+    fn drain_waits_for_a_packet_a_module_is_holding() {
+        let (taken_tx, taken) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let hold = HoldDown {
+            taken: taken_tx,
+            release: release_rx,
+        };
+        let (ta, tb) = loopback_pair();
+        let opts = RuntimeOptions::default();
+        let a = build_stack(
+            vec![Box::new(hold)],
+            Arc::new(ta),
+            &opts,
+            StackThreads::default(),
+        )
+        .unwrap();
+        let b = stack_on(&[], tb, &opts);
+        // Declared after the stacks, so a failed assertion drops it first
+        // and unblocks the module before the stacks are torn down.
+        let release = release;
+        a.endpoint().send(Bytes::from_static(b"last")).unwrap();
+        // The module has taken the packet off its queue: every queue is
+        // empty, yet the stack is not drained.
+        taken.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(!a.is_quiescent());
+        assert!(!a.drain(Duration::from_millis(50)));
+        release.send(()).unwrap();
+        assert!(a.drain(Duration::from_secs(5)));
+        // Close after drain loses nothing.
+        a.shutdown();
+        assert_eq!(
+            &b.endpoint().recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            b"last"
+        );
+        b.shutdown();
+    }
+
+    /// Forwards packets unchanged and counts its protocol-timer ticks.
+    struct TickCounter(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Module for TickCounter {
+        fn name(&self) -> &str {
+            "tick-counter"
+        }
+        fn process_down(&mut self, pkt: Packet, out: &mut Outputs) {
+            out.push_down(pkt);
+        }
+        fn process_up(&mut self, pkt: Packet, out: &mut Outputs) {
+            out.push_up(pkt);
+        }
+        fn on_tick(&mut self, _now: Duration, _out: &mut Outputs) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn ticks_keep_their_cadence_under_steady_input() {
+        let ticks = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (ta, tb) = loopback_pair();
+        let opts = RuntimeOptions {
+            tick_interval: Duration::from_millis(10),
+            ..RuntimeOptions::default()
+        };
+        let stack = build_stack(
+            vec![Box::new(TickCounter(ticks.clone()))],
+            Arc::new(ta),
+            &opts,
+            StackThreads::default(),
+        )
+        .unwrap();
+        // Up traffic every 2 ms, five packets per tick interval: the
+        // module's select never sits idle for a whole interval.
+        let start = Instant::now();
+        let mut sent = 0;
+        while start.elapsed() < Duration::from_millis(300) {
+            tb.send(Bytes::from_static(b"steady")).unwrap();
+            sent += 1;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let elapsed = start.elapsed();
+        for _ in 0..sent {
+            stack
+                .endpoint()
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap();
+        }
+        let fired = ticks.load(Ordering::Relaxed);
+        let due = (elapsed.as_millis() / opts.tick_interval.as_millis()) as usize;
+        assert!(
+            fired * 2 >= due,
+            "{fired} ticks in {elapsed:?} of steady input, {due} due"
+        );
+        stack.shutdown();
     }
 
     #[test]

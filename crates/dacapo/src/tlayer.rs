@@ -16,7 +16,7 @@ use crate::error::DacapoError;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
 use parking_lot::Mutex;
-use std::io::{IoSlice, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -191,8 +191,13 @@ impl std::fmt::Debug for TcpTransport {
     }
 }
 
-/// Upper bound on a TCP frame (guards allocation on corrupt streams).
-const MAX_TCP_FRAME: u32 = 256 * 1024 * 1024;
+/// Upper bound on a length-prefixed TCP frame, shared by every TCP
+/// framing in the workspace.
+pub const MAX_TCP_FRAME: u32 = 256 * 1024 * 1024;
+
+/// Capacity of a frame reader's [`BufReader`], and the most
+/// [`read_frame`] reserves for a frame beyond the bytes that have arrived.
+pub const FRAME_READ_CHUNK: usize = 64 * 1024;
 
 /// Writes `prefix` then `frame` with vectored I/O: the length prefix and
 /// the frame body go to the kernel in one `writev`-style call instead of
@@ -219,6 +224,60 @@ pub fn write_frame_vectored<W: Write>(
             ));
         }
         written += n;
+    }
+    Ok(())
+}
+
+/// Reads one frame written by [`write_frame_vectored`] with a 4-byte
+/// big-endian length prefix. Shared by every length-prefixed TCP framing
+/// in the workspace.
+///
+/// Read through a [`BufReader`] of [`FRAME_READ_CHUNK`] bytes, one
+/// syscall brings in as many small frames as the socket holds. The frame
+/// buffer grows as bytes arrive, never more than [`FRAME_READ_CHUNK`]
+/// ahead of them, so a corrupt or hostile length prefix cannot make the
+/// reader reserve memory the peer never sent.
+///
+/// # Errors
+///
+/// [`std::io::ErrorKind::InvalidData`] for a length over
+/// [`MAX_TCP_FRAME`]; [`std::io::ErrorKind::UnexpectedEof`] when the
+/// stream ends, at a frame boundary or inside a frame; any I/O error of
+/// the underlying reader.
+pub fn read_frame<R: BufRead>(r: &mut R) -> std::io::Result<Bytes> {
+    let mut frame = Vec::new();
+    read_frame_into(r, &mut frame)?;
+    Ok(Bytes::from(frame))
+}
+
+/// [`read_frame`] into a caller-owned buffer, which holds the bytes that
+/// arrived when it fails.
+fn read_frame_into<R: BufRead>(r: &mut R, frame: &mut Vec<u8>) -> std::io::Result<()> {
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let len = u32::from_be_bytes(prefix);
+    if len > MAX_TCP_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {MAX_TCP_FRAME}-byte limit"),
+        ));
+    }
+    let len = len as usize;
+    while frame.len() < len {
+        let arrived = r.fill_buf()?;
+        if arrived.is_empty() {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        let missing = len - frame.len();
+        if frame.len() == frame.capacity() {
+            frame.reserve_exact(missing.min(FRAME_READ_CHUNK));
+        }
+        let n = arrived
+            .len()
+            .min(missing)
+            .min(frame.capacity() - frame.len());
+        frame.extend_from_slice(&arrived[..n]);
+        r.consume(n);
     }
     Ok(())
 }
@@ -259,24 +318,15 @@ impl TcpTransport {
         })
     }
 
-    fn reader_loop(mut stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
-        let mut len_buf = [0u8; 4];
-        loop {
-            if closed.load(Ordering::Acquire) {
+    fn reader_loop(stream: TcpStream, tx: Sender<Bytes>, closed: Arc<AtomicBool>) {
+        let mut stream = BufReader::with_capacity(FRAME_READ_CHUNK, stream);
+        while !closed.load(Ordering::Acquire) {
+            // Peer closed, I/O error or corrupt stream: give up, and the
+            // channel sender drops.
+            let Ok(frame) = read_frame(&mut stream) else {
                 return;
-            }
-            if stream.read_exact(&mut len_buf).is_err() {
-                return; // peer closed or error: channel sender drops
-            }
-            let len = u32::from_be_bytes(len_buf);
-            if len > MAX_TCP_FRAME {
-                return; // corrupt stream: give up
-            }
-            let mut frame = vec![0u8; len as usize];
-            if stream.read_exact(&mut frame).is_err() {
-                return;
-            }
-            if tx.send(Bytes::from(frame)).is_err() {
+            };
+            if tx.send(frame).is_err() {
                 return;
             }
         }
@@ -400,6 +450,59 @@ mod tests {
     fn recv_frame(t: &impl Transport) -> Result<Option<Bytes>, DacapoError> {
         let (_keep, wake) = wake();
         t.recv(&wake)
+    }
+
+    /// `frames`, each behind its length prefix, as one byte stream.
+    fn framed(frames: &[&[u8]]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for f in frames {
+            write_frame_vectored(&mut wire, &(f.len() as u32).to_be_bytes(), f).unwrap();
+        }
+        wire
+    }
+
+    #[test]
+    fn read_frame_splits_a_stream_back_into_its_frames() {
+        let big: Vec<u8> = (0..3 * FRAME_READ_CHUNK + 17).map(|i| i as u8).collect();
+        let wire = framed(&[b"a", b"", &big, b"tail"]);
+        // A small buffer splits the big frame and the prefixes across
+        // several fills.
+        let mut r = BufReader::with_capacity(1000, &wire[..]);
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"a");
+        assert!(read_frame(&mut r).unwrap().is_empty());
+        assert_eq!(&read_frame(&mut r).unwrap()[..], &big[..]);
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"tail");
+        let end = read_frame(&mut r).unwrap_err();
+        assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn read_frame_rejects_an_oversized_prefix() {
+        let wire = (MAX_TCP_FRAME + 1).to_be_bytes();
+        let err = read_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_huge_prefix_reserves_only_what_arrived() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // A 256 MiB claim followed by a few bytes, then the peer closes.
+        peer.write_all(&MAX_TCP_FRAME.to_be_bytes()).unwrap();
+        peer.write_all(b"just these").unwrap();
+        drop(peer);
+        let mut r = BufReader::with_capacity(FRAME_READ_CHUNK, stream);
+        let mut frame = Vec::new();
+        let err = read_frame_into(&mut r, &mut frame).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(&frame[..], b"just these");
+        assert!(
+            frame.capacity() <= frame.len() + FRAME_READ_CHUNK,
+            "reserved {} bytes for {} received",
+            frame.capacity(),
+            frame.len()
+        );
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub(crate) struct Direction {
     clock: SharedClock,
     state: Mutex<DirectionState>,
     arrival: Condvar,
-    sender_alive: AtomicBool,
     stats: Arc<LinkStats>,
 }
 
@@ -59,6 +58,11 @@ struct DirectionState {
     last_delivery: Duration,
     /// Frames accepted so far, for `sever_after` bookkeeping.
     accepted: u64,
+    /// False once the sending endpoint is gone. Part of the receivers'
+    /// wait predicate, so it only changes under the state lock: set
+    /// outside it, a receiver that had just checked it could park after
+    /// the wake-up and sleep forever.
+    sender_alive: bool,
     rng: StdRng,
 }
 
@@ -70,12 +74,12 @@ impl Direction {
                 next_free: Duration::ZERO,
                 last_delivery: Duration::ZERO,
                 accepted: 0,
+                sender_alive: true,
                 rng: StdRng::seed_from_u64(seed),
             }),
             spec,
             clock,
             arrival: Condvar::new(),
-            sender_alive: AtomicBool::new(true),
             stats: LinkStats::new(),
         })
     }
@@ -85,7 +89,7 @@ impl Direction {
     }
 
     pub(crate) fn mark_sender_gone(&self) {
-        self.sender_alive.store(false, Ordering::Release);
+        self.state.lock().sender_alive = false;
         // Wake any receiver blocked on an empty queue.
         self.arrival.notify_all();
     }
@@ -168,7 +172,7 @@ impl Direction {
                     if let Some((at, _)) = st.in_flight.front() {
                         break *at;
                     }
-                    if !self.sender_alive.load(Ordering::Acquire) {
+                    if !st.sender_alive {
                         return Err(NetSimError::Disconnected);
                     }
                     match deadline {
@@ -245,7 +249,7 @@ impl Direction {
                 Err(NetSimError::WouldBlock)
             }
             None => {
-                if self.sender_alive.load(Ordering::Acquire) {
+                if st.sender_alive {
                     Err(NetSimError::WouldBlock)
                 } else {
                     Err(NetSimError::Disconnected)
@@ -460,6 +464,41 @@ mod tests {
         drop(a);
         assert!(b.recv().is_ok());
         assert_eq!(b.recv().unwrap_err(), NetSimError::Disconnected);
+    }
+
+    #[test]
+    fn sender_drop_always_wakes_a_receiver_blocked_without_deadline() {
+        use std::sync::atomic::AtomicBool;
+        // The drop races the receiver's check-then-park on a real-time
+        // link. Both threads spin up to a common start line, then the drop
+        // lands a little later each round, sweeping the window between the
+        // receiver's check of the flag and its park; a wake-up lost there
+        // leaves the receiver parked for good.
+        for round in 0..20_000u32 {
+            let link = Link::real_time(fast_spec());
+            let (a, b) = link.endpoints();
+            let go = Arc::new(AtomicBool::new(false));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let receiver = {
+                let go = Arc::clone(&go);
+                std::thread::spawn(move || {
+                    while !go.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    let _ = done_tx.send(b.recv());
+                })
+            };
+            go.store(true, Ordering::Release);
+            for _ in 0..round % 400 {
+                std::hint::spin_loop();
+            }
+            drop(a);
+            let got = done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("receiver missed the sender drop in round {round}"));
+            assert_eq!(got.unwrap_err(), NetSimError::Disconnected);
+            receiver.join().unwrap();
+        }
     }
 
     #[test]

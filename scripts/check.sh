@@ -7,6 +7,11 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 
+# The channel and lock shims under shims/ are not workspace members, so
+# `--workspace` never runs their own tests (lost wake-ups, waiter counts,
+# Select registration). They run here, in release, as the stacks do.
+cargo test -q --release -p crossbeam -p parking_lot
+
 # The repository benchmark (perfbench/) is its own package outside the
 # workspace but calls the crates' public API: build it and run its own
 # tests so an API change cannot break the benchmark unseen.
@@ -25,13 +30,13 @@ cargo run -q --release -p cool-lint -- --json-out lint-report.json --sarif-out l
 
 # The paper's claims as gated shapes: Fig. 9 (40 dummy modules cost
 # little; IRQ flow control collapses throughput) and Table 1 (the GIOP 9.9
-# QoS extension costs next to nothing over 1.0). Each bin prints its
-# shape checks and exits non-zero on a MISS. `arq_comparison --quick` is
-# not gated: its "selective repeat beats go-back-N at 10% loss" check
-# misses on every 300 ms quick run (3.5 vs 5.6 Mbit/s); the full run
-# passes.
+# QoS extension costs next to nothing over 1.0), plus the ARQ comparison
+# (windowed ARQs beat IRQ on a clean link; selective repeat beats
+# go-back-N at 10% loss). Each bin prints its shape checks and exits
+# non-zero on a MISS.
 cargo run -q --release -p bench --bin fig9 -- --quick
 cargo run -q --release -p bench --bin tab1 -- --quick
+cargo run -q --release -p bench --bin arq_comparison -- --quick
 
 # ThreadSanitizer smoke on the chaos test, best effort: -Zsanitizer needs
 # a nightly toolchain with rust-src (for -Zbuild-std). Skip cleanly when

@@ -3,6 +3,12 @@
 //! Implementation: a `VecDeque` behind a mutex with two condvars
 //! (not-empty / not-full) and a per-`Select` waker registered with every
 //! participating channel so a push or disconnect wakes the selector.
+//!
+//! std's `Condvar::notify_*` always enters the kernel, so every wake-up is
+//! gated on a sleeper being there to take it: the channel counts parked
+//! receivers and senders under its mutex, and a `Select` waker records
+//! whether its selector is parked. A hand-off between two busy threads
+//! then costs a lock and no syscall.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -32,6 +38,8 @@ fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
             cap,
             senders: 1,
             receivers: 1,
+            parked_receivers: 0,
+            parked_senders: 0,
             wakers: Vec::new(),
         }),
         not_empty: Condvar::new(),
@@ -50,6 +58,10 @@ struct State<T> {
     cap: Option<usize>,
     senders: usize,
     receivers: usize,
+    /// Receivers blocked on `not_empty`.
+    parked_receivers: usize,
+    /// Senders blocked on `not_full`.
+    parked_senders: usize,
     wakers: Vec<Weak<SelectWaker>>,
 }
 
@@ -71,9 +83,59 @@ struct Core<T> {
     not_full: Condvar,
 }
 
+type Guard<'a, T> = std::sync::MutexGuard<'a, State<T>>;
+
 impl<T> Core<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
+    fn lock(&self) -> Guard<'_, T> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Announces a queued message to selectors and one parked receiver.
+    fn pushed(&self, st: &mut State<T>) {
+        st.wake_selects();
+        if st.parked_receivers > 0 {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Announces a freed slot to one parked sender.
+    fn popped(&self, st: &State<T>) {
+        if st.parked_senders > 0 {
+            self.not_full.notify_one();
+        }
+    }
+
+    /// Parks a receiver on `not_empty` until notified or `deadline`.
+    fn park_receiver<'a>(&self, mut st: Guard<'a, T>, deadline: Option<Instant>) -> Guard<'a, T> {
+        st.parked_receivers += 1;
+        let mut st = park(&self.not_empty, st, deadline);
+        st.parked_receivers -= 1;
+        st
+    }
+
+    /// Parks a sender on `not_full` until notified.
+    fn park_sender<'a>(&self, mut st: Guard<'a, T>) -> Guard<'a, T> {
+        st.parked_senders += 1;
+        let mut st = park(&self.not_full, st, None);
+        st.parked_senders -= 1;
+        st
+    }
+}
+
+/// Waits on `cv`, bounded by `deadline` when given.
+fn park<'a, S>(
+    cv: &Condvar,
+    guard: std::sync::MutexGuard<'a, S>,
+    deadline: Option<Instant>,
+) -> std::sync::MutexGuard<'a, S> {
+    match deadline {
+        None => cv.wait(guard).unwrap_or_else(|e| e.into_inner()),
+        Some(d) => {
+            let wait = d.saturating_duration_since(Instant::now());
+            cv.wait_timeout(guard, wait)
+                .unwrap_or_else(|e| e.into_inner())
+                .0
+        }
     }
 }
 
@@ -97,15 +159,10 @@ impl<T> Sender<T> {
             }
             if st.cap.map_or(true, |c| st.queue.len() < c) {
                 st.queue.push_back(value);
-                st.wake_selects();
-                self.core.not_empty.notify_one();
+                self.core.pushed(&mut st);
                 return Ok(());
             }
-            st = self
-                .core
-                .not_full
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = self.core.park_sender(st);
         }
     }
 
@@ -119,8 +176,7 @@ impl<T> Sender<T> {
             return Err(TrySendError::Full(value));
         }
         st.queue.push_back(value);
-        st.wake_selects();
-        self.core.not_empty.notify_one();
+        self.core.pushed(&mut st);
         Ok(())
     }
 
@@ -150,7 +206,9 @@ impl<T> Drop for Sender<T> {
         st.senders -= 1;
         if st.senders == 0 {
             st.wake_selects();
-            self.core.not_empty.notify_all();
+            if st.parked_receivers > 0 {
+                self.core.not_empty.notify_all();
+            }
         }
     }
 }
@@ -168,17 +226,13 @@ impl<T> Receiver<T> {
         let mut st = self.core.lock();
         loop {
             if let Some(v) = st.queue.pop_front() {
-                self.core.not_full.notify_one();
+                self.core.popped(&st);
                 return Ok(v);
             }
             if st.senders == 0 {
                 return Err(RecvError);
             }
-            st = self
-                .core
-                .not_empty
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = self.core.park_receiver(st, None);
         }
     }
 
@@ -192,22 +246,16 @@ impl<T> Receiver<T> {
         let mut st = self.core.lock();
         loop {
             if let Some(v) = st.queue.pop_front() {
-                self.core.not_full.notify_one();
+                self.core.popped(&st);
                 return Ok(v);
             }
             if st.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            let (g, _) = self
-                .core
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
+            st = self.core.park_receiver(st, Some(deadline));
         }
     }
 
@@ -215,7 +263,7 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut st = self.core.lock();
         if let Some(v) = st.queue.pop_front() {
-            self.core.not_full.notify_one();
+            self.core.popped(&st);
             return Ok(v);
         }
         if st.senders == 0 {
@@ -253,7 +301,7 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut st = self.core.lock();
         st.receivers -= 1;
-        if st.receivers == 0 {
+        if st.receivers == 0 && st.parked_senders > 0 {
             self.core.not_full.notify_all();
         }
     }
@@ -414,42 +462,50 @@ impl Error for RecvTimeoutError {}
 // Select
 // ---------------------------------------------------------------------------
 
+/// Wakes one selector. Only that selector ever waits on it.
 struct SelectWaker {
-    signalled: Mutex<bool>,
+    state: Mutex<WakerState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct WakerState {
+    /// A registered channel changed since the selector last looked.
+    signalled: bool,
+    /// The selector is parked on `cv`.
+    parked: bool,
 }
 
 impl SelectWaker {
     fn new() -> Self {
         SelectWaker {
-            signalled: Mutex::new(false),
+            state: Mutex::new(WakerState::default()),
             cv: Condvar::new(),
         }
     }
 
     fn notify(&self) {
-        let mut s = self.signalled.lock().unwrap_or_else(|e| e.into_inner());
-        *s = true;
-        self.cv.notify_all();
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        s.signalled = true;
+        if s.parked {
+            self.cv.notify_one();
+        }
     }
 
     /// Waits until signalled or the deadline passes. Returns true on timeout.
     fn wait_deadline(&self, deadline: Instant) -> bool {
-        let mut s = self.signalled.lock().unwrap_or_else(|e| e.into_inner());
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if *s {
-                *s = false;
+            if s.signalled {
+                s.signalled = false;
                 return false;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return true;
             }
-            let (g, _) = self
-                .cv
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            s = g;
+            s.parked = true;
+            s = park(&self.cv, s, Some(deadline));
+            s.parked = false;
         }
     }
 }
@@ -521,34 +577,36 @@ impl<'a> Select<'a> {
         timeout: Duration,
     ) -> Result<SelectedOperation<'a>, SelectTimeoutError> {
         assert!(!self.handles.is_empty(), "selecting on no operations");
+        // An input that is ready already needs no waker: on a busy path
+        // this is the common case, and it allocates and registers nothing.
+        if let Some(op) = self.scan() {
+            return Ok(op);
+        }
         let deadline = Instant::now() + timeout;
         let waker = Arc::new(SelectWaker::new());
         for h in &self.handles {
             h.register(&waker);
         }
         loop {
-            if let Some(index) = self.scan() {
-                return Ok(SelectedOperation {
-                    index,
-                    _marker: PhantomData,
-                });
+            // Scanning after registering closes the race with a push that
+            // landed between the first scan and the registration.
+            if let Some(op) = self.scan() {
+                return Ok(op);
             }
             if waker.wait_deadline(deadline) {
                 // Timed out: one last scan to close the race between the
                 // final check and the deadline.
-                return match self.scan() {
-                    Some(index) => Ok(SelectedOperation {
-                        index,
-                        _marker: PhantomData,
-                    }),
-                    None => Err(SelectTimeoutError),
-                };
+                return self.scan().ok_or(SelectTimeoutError);
             }
         }
     }
 
-    fn scan(&self) -> Option<usize> {
-        self.handles.iter().position(|h| h.ready())
+    fn scan(&self) -> Option<SelectedOperation<'a>> {
+        let index = self.handles.iter().position(|h| h.ready())?;
+        Some(SelectedOperation {
+            index,
+            _marker: PhantomData,
+        })
     }
 }
 
@@ -651,20 +709,129 @@ mod tests {
     }
 
     #[test]
-    fn select_wakes_on_send() {
+    fn bounded_one_moves_every_item_between_four_by_four_threads() {
+        // Every hand-off on a one-slot channel either finds its peer
+        // parked (and counted) or leaves the state the peer checks next:
+        // a lost wake-up would surface as a 5 s timeout here.
+        const PER_PRODUCER: u64 = 25_000;
+        let (tx, rx) = bounded::<u64>(1);
+        let producers: Vec<_> = (0..4)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        tx.send(p * PER_PRODUCER + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let consumers: Vec<_> = (0..4)
+            .map(|_| {
+                let rx = rx.clone();
+                thread::spawn(move || {
+                    let (mut count, mut sum) = (0u64, 0u64);
+                    loop {
+                        match rx.recv_timeout(Duration::from_secs(5)) {
+                            Ok(v) => {
+                                count += 1;
+                                sum += v;
+                            }
+                            Err(RecvTimeoutError::Disconnected) => return (count, sum),
+                            Err(RecvTimeoutError::Timeout) => panic!("lost wake-up"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        let (count, sum) = consumers
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .fold((0, 0), |(c, s), (c2, s2)| (c + c2, s + s2));
+        let n = 4 * PER_PRODUCER;
+        assert_eq!(count, n);
+        assert_eq!(sum, n * (n - 1) / 2);
+        let st = rx.core.lock();
+        assert_eq!((st.parked_receivers, st.parked_senders), (0, 0));
+    }
+
+    #[test]
+    fn select_over_a_ready_channel_registers_no_waker() {
+        let (tx, rx) = unbounded::<u8>();
+        let (_idle_tx, idle_rx) = unbounded::<u8>();
+        tx.send(1).unwrap();
+        let mut sel = Select::new();
+        let i = sel.recv(&rx);
+        sel.recv(&idle_rx);
+        let op = sel.select_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(op.index(), i);
+        assert_eq!(op.recv(&rx).unwrap(), 1);
+        assert_eq!(rx.core.lock().wakers.len(), 0);
+        assert_eq!(idle_rx.core.lock().wakers.len(), 0);
+
+        // The slow path still registers: nothing ready, so the selector
+        // parks with a waker on every input.
+        let mut sel = Select::new();
+        sel.recv(&idle_rx);
+        assert!(sel.select_timeout(Duration::from_millis(1)).is_err());
+        assert_eq!(idle_rx.core.lock().wakers.len(), 1);
+    }
+
+    /// Blocks until a selector is parked on a waker registered with `rx`,
+    /// so the caller's next operation must wake it rather than be seen by
+    /// its scan.
+    fn wait_for_parked_selector<T>(rx: &Receiver<T>) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let parked = rx
+                .core
+                .lock()
+                .wakers
+                .iter()
+                .any(|w| w.upgrade().is_some_and(|w| w.state.lock().unwrap().parked));
+            if parked {
+                return;
+            }
+            assert!(Instant::now() < deadline, "selector never parked");
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_select_wakes_on_send_and_on_disconnect() {
         let (tx1, rx1) = unbounded::<u8>();
-        let (_tx2, rx2) = unbounded::<u8>();
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            tx1.send(42).unwrap();
-        });
+        let (tx2, rx2) = unbounded::<u8>();
+        let (phase_tx, phase_rx) = unbounded::<()>();
+        let waker = {
+            let rx1 = rx1.clone();
+            let rx2 = rx2.clone();
+            thread::spawn(move || {
+                wait_for_parked_selector(&rx1);
+                tx1.send(42).unwrap();
+                // The first selector also watched rx2: wait until it is
+                // gone, so the parked one found next is the second.
+                phase_rx.recv().unwrap();
+                wait_for_parked_selector(&rx2);
+                drop(tx2);
+            })
+        };
         let mut sel = Select::new();
         let i1 = sel.recv(&rx1);
-        let _i2 = sel.recv(&rx2);
+        let _idle = sel.recv(&rx2);
         let op = sel.select_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(op.index(), i1);
         assert_eq!(op.recv(&rx1).unwrap(), 42);
-        t.join().unwrap();
+        phase_tx.send(()).unwrap();
+
+        let mut sel = Select::new();
+        let i2 = sel.recv(&rx2);
+        let op = sel.select_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(op.index(), i2);
+        assert!(op.recv(&rx2).is_err());
+        waker.join().unwrap();
     }
 
     #[test]
@@ -673,20 +840,5 @@ mod tests {
         let mut sel = Select::new();
         sel.recv(&rx);
         assert!(sel.select_timeout(Duration::from_millis(10)).is_err());
-    }
-
-    #[test]
-    fn select_sees_disconnect() {
-        let (tx, rx) = unbounded::<u8>();
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            drop(tx);
-        });
-        let mut sel = Select::new();
-        let i = sel.recv(&rx);
-        let op = sel.select_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(op.index(), i);
-        assert!(op.recv(&rx).is_err());
-        t.join().unwrap();
     }
 }

@@ -3,10 +3,17 @@
 //! Matches the parking_lot API shape the workspace uses: non-poisoning
 //! `Mutex`/`RwLock` whose `lock()`/`read()`/`write()` return guards directly,
 //! and a `Condvar` whose wait methods take `&mut MutexGuard`.
+//!
+//! The `Condvar` counts its parked waiters and skips the notify when there
+//! are none: std's `notify_*` always enters the kernel, so a hand-off with
+//! no sleeper would otherwise pay a `futex_wake` for nothing. That is safe
+//! under the rule std already sets: change the predicate while holding the
+//! mutex the waiter checks it under.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A mutual exclusion primitive (non-poisoning wrapper over `std::sync::Mutex`).
@@ -184,8 +191,19 @@ impl WaitTimeoutResult {
 
 /// A condition variable whose wait methods take `&mut MutexGuard`
 /// (parking_lot style).
+///
+/// A notify wakes only threads already parked in a wait; with none parked
+/// it returns without a syscall. A notifier must therefore change the
+/// waiters' predicate under their mutex (before or after it notifies), as
+/// std requires: a waiter then either sees the new predicate when it
+/// checks, or was counted before the notifier took the mutex.
 pub struct Condvar {
     inner: sync::Condvar,
+    /// Threads inside [`Condvar::wait`] or [`Condvar::wait_for`]. Raised
+    /// while the waiter still holds the mutex and lowered once it holds it
+    /// again, so the mutex orders every change against a notifier that
+    /// holds or has held it.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -193,23 +211,30 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Wakes one waiting thread.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes all waiting threads.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 
     /// Blocks until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard taken");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -220,13 +245,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard taken");
-        let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let (inner, result) = self
+            .inner
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }
@@ -296,6 +320,79 @@ mod tests {
         let mut g = m.lock();
         let res = cv.wait_for(&mut g, Duration::from_millis(10));
         assert!(res.timed_out());
+    }
+
+    #[test]
+    fn notify_without_waiter_leaves_predicate_for_next_wait() {
+        let m = Mutex::new(false);
+        let cv = Condvar::new();
+        // Nobody is parked: the notify is skipped, but the predicate set
+        // under the mutex is what the next waiter checks first.
+        *m.lock() = true;
+        cv.notify_one();
+        cv.notify_all();
+        let mut ready = m.lock();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !*ready {
+            assert!(!cv.wait_until(&mut ready, deadline).timed_out());
+        }
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn waiter_count_returns_to_zero_after_timeouts() {
+        let pair = Arc::new((Mutex::new(()), Condvar::new()));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let pair = Arc::clone(&pair);
+                thread::spawn(move || {
+                    let (m, cv) = &*pair;
+                    let mut g = m.lock();
+                    for _ in 0..3 {
+                        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(pair.1.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn handoffs_between_parked_threads_are_never_lost() {
+        // Two threads take turns through one condvar: each hand-off finds
+        // its peer either parked (counted) or about to see the new turn.
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let rounds = 20_000u32;
+        let peer = {
+            let pair = Arc::clone(&pair);
+            thread::spawn(move || {
+                let (m, cv) = &*pair;
+                let mut turn = m.lock();
+                while *turn < rounds {
+                    if *turn % 2 == 1 {
+                        *turn += 1;
+                        cv.notify_one();
+                    } else {
+                        assert!(!cv.wait_for(&mut turn, Duration::from_secs(5)).timed_out());
+                    }
+                }
+            })
+        };
+        let (m, cv) = &*pair;
+        let mut turn = m.lock();
+        while *turn < rounds {
+            if *turn % 2 == 0 {
+                *turn += 1;
+                cv.notify_one();
+            } else {
+                assert!(!cv.wait_for(&mut turn, Duration::from_secs(5)).timed_out());
+            }
+        }
+        drop(turn);
+        peer.join().unwrap();
     }
 
     #[test]
